@@ -19,7 +19,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
-    /// Entries removed by [`LruCache::retain`] (graph-update
+    /// Entries dropped by [`LruCache::cloned_retain`] (graph-update
     /// invalidation, as opposed to capacity pressure).
     pub invalidations: u64,
     /// Entries inserted (new keys only, not value replacements). With
@@ -190,28 +190,14 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.map.keys()
     }
 
-    /// Drops every entry, counting them as invalidations. Used when a
-    /// compaction re-densifies node ids: cached values embed the old ids,
-    /// so the whole working set is stale at once.
-    pub fn clear(&mut self) -> usize {
-        let n = self.map.len();
-        self.stats.invalidations += n as u64;
-        self.map.clear();
-        self.entries.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        n
-    }
-
     /// Builds a new cache holding exactly the entries whose key passes
     /// `keep`, preserving recency order and carrying the cumulative
-    /// counters forward (dropped entries count as invalidations, as in
-    /// [`LruCache::retain`]). The source is untouched — this is the
-    /// copy-on-write twin of `retain`, used when the serving engine
-    /// derives the next snapshot's cache from the published one while
-    /// readers keep hitting it. Returns the new cache and the dropped
-    /// keys.
+    /// counters forward (dropped entries count as invalidations). The
+    /// source is untouched: the serving engine derives the next
+    /// snapshot's cache from the published one while readers keep
+    /// hitting it — this is the scoped-invalidation hook, dropping
+    /// exactly the `(center, d)` extractions an update's union ball may
+    /// have changed. Returns the new cache and the dropped keys.
     pub fn cloned_retain(&self, mut keep: impl FnMut(&K) -> bool) -> (Self, Vec<K>) {
         let mut out = Self::new(self.capacity);
         out.stats = self.stats;
@@ -239,22 +225,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             i = up;
         }
         (out, dropped)
-    }
-
-    /// Removes every entry whose key fails `keep`, returning the removed
-    /// keys. This is the scoped-invalidation hook: a graph update evicts
-    /// exactly the `(center, d)` extractions whose d-ball it may have
-    /// changed, leaving the rest of the working set hot.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) -> Vec<K> {
-        let doomed: Vec<(K, usize)> =
-            self.map.iter().filter(|(k, _)| !keep(k)).map(|(k, &i)| (k.clone(), i)).collect();
-        for (k, i) in &doomed {
-            self.unlink(*i);
-            self.map.remove(k);
-            self.free.push(*i);
-            self.stats.invalidations += 1;
-        }
-        doomed.into_iter().map(|(k, _)| k).collect()
     }
 }
 
@@ -326,27 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_removes_exactly_the_failing_keys() {
-        let mut c: LruCache<u32, u32> = LruCache::new(8);
-        for i in 0..6u32 {
-            c.insert(i, i * 10);
-        }
-        let mut gone = c.retain(|&k| k % 2 == 0);
-        gone.sort_unstable();
-        assert_eq!(gone, vec![1, 3, 5]);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.stats().invalidations, 3);
-        for i in 0..6u32 {
-            assert_eq!(c.get(&i).is_some(), i % 2 == 0, "{i}");
-        }
-        // Freed slots are reusable and the list stays consistent.
-        for i in 10..20u32 {
-            c.insert(i, i);
-        }
-        assert_eq!(c.len(), 8);
-    }
-
-    #[test]
     fn cloned_retain_preserves_order_stats_and_source() {
         let mut c: LruCache<u32, u32> = LruCache::new(8);
         for i in 0..6u32 {
@@ -373,22 +322,6 @@ mod tests {
         assert_eq!(d.insert(22, 22), Some(0));
         assert_eq!(d.get(&0), None);
         assert_eq!(d.get(&10), Some(10));
-    }
-
-    #[test]
-    fn clear_drops_everything_and_stays_usable() {
-        let mut c: LruCache<u32, u32> = LruCache::new(4);
-        for i in 0..4u32 {
-            c.insert(i, i);
-        }
-        assert_eq!(c.clear(), 4);
-        assert!(c.is_empty());
-        assert_eq!(c.stats().invalidations, 4);
-        for i in 10..16u32 {
-            c.insert(i, i);
-        }
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.get(&15), Some(15));
     }
 
     #[test]

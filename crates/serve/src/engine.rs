@@ -46,12 +46,25 @@
 //! batches into one *net* generation with [`gpar_graph::Coalescer`]:
 //! delete-then-reinsert cancels, relabel chains collapse, inserts onto a
 //! node the burst itself removes vanish. The net batch is applied to a
-//! private copy-on-write successor of the published snapshot (the
-//! overlay's `Arc`-shared logs make the clone a few refcount bumps), the
+//! private copy-on-write successor of the published snapshot, the
 //! repair below runs off to the side, and the generation becomes visible
 //! with **one pointer swap + epoch bump**. A failure anywhere before the
 //! swap — including injected faults — publishes nothing: every batch in
 //! the generation fails typed, all-or-nothing.
+//!
+//! **What a successor copies.** Building it costs what the update
+//! touches, not what the snapshot holds. The overlay's logs are
+//! `Arc`-shared (its clone is a few refcount bumps). Each group's
+//! centers and each warm ledger's per-center records live in a
+//! [`PagedMap`]: cloning one bumps a refcount per page of 64 ids, and an
+//! edit — a center admitted or retired, a sketch refreshed, a record
+//! re-evaluated — copies only the page it lands in. A group's rule side
+//! ([`crate::index::GroupRules`]) is one more `Arc`, replaced only when a
+//! rule's activation flips. A group whose center set and sketches the
+//! batch leaves alone is not unshared at all, and neither is the ledger
+//! of a predicate with nothing to re-evaluate. The predecessor stays
+//! complete for the readers that pinned it; once they let go, dropping
+//! it frees just the pages its successor replaced.
 //!
 //! The repair itself exploits the paper's locality property (§4.2): a
 //! radius-`d` evaluation at center `v_x` reads nothing outside
@@ -70,9 +83,10 @@
 //!
 //! 1. evicts exactly the `(center, d)` d-ball cache entries inside the
 //!    union ball,
-//! 2. repairs each predicate's candidate list and center sketches
+//! 2. repairs each predicate's candidate set and center sketches
 //!    incrementally (new/relabeled centers in, relabeled-away **and
-//!    removed** centers out, in-ball sketches recomputed),
+//!    removed** centers out, in-ball sketches recomputed — in id order,
+//!    so each touched page is copied once),
 //! 3. re-evaluates only the in-ball + new centers of every *warmed*
 //!    predicate, patching the per-rule [`ConfStats`] by subtracting each
 //!    re-evaluated center's old contribution and adding its new one —
@@ -88,9 +102,10 @@
 //! published as its own snapshot generation. Without node removals ids
 //! are stable and caches, index and warm state all survive untouched.
 //! With removals the id space is re-densified: compaction returns the
-//! [`NodeRemap`], the candidate index and warm ledgers are translated
-//! (the remap is monotone, so sorted structures stay sorted), and the
-//! d-ball cache — whose values embed old ids — is flushed. Compaction is
+//! [`NodeRemap`], the candidate index and warm ledgers are re-keyed
+//! through it ([`PagedMap::remap`] — ids shift across page boundaries,
+//! so this is the one step that rewrites every page), and the d-ball
+//! cache — whose values embed old ids — is flushed. Compaction is
 //! also **self-triggering**: after each published generation the writer
 //! measures overlay pressure (delta edges + tombstones + relabels + dead
 //! slots against the base) and compacts when it crosses
@@ -114,13 +129,14 @@ use crate::cache::{CacheStats, LruCache};
 use crate::catalog::RuleCatalog;
 use crate::clock::UpdateClock;
 use crate::index::{CandidateIndex, PredicateGroup};
+use crate::paged::PagedMap;
 use arc_swap::ArcSwap;
 use gpar_core::{classify, ConfStats, Confidence, Gpar, LcwaClass, Predicate};
 use gpar_eip::{CandidateEvaluator, EipAlgorithm, MatchOpts};
 use gpar_exec::{Executor, Injector, PopTimeout, Priority, PushError};
 use gpar_graph::{
     multi_source_distances, Coalescer, DeltaGraph, FxHashMap, Graph, GraphUpdate, GraphView, Label,
-    NeighborhoodScratch, NodeId, NodeRemap, UpdateInvalid, Vocab,
+    NeighborhoodScratch, NodeId, NodeRemap, Sketch, UpdateInvalid, Vocab,
 };
 use gpar_obs::{
     Counter, Gauge, HistKind, MetricsRegistry, MetricsSnapshot, Span, Stage, Trace, TraceBuilder,
@@ -605,8 +621,9 @@ struct PredicateState {
     supp_qbar: u64,
     /// Per rule: `(supp_r, supp_q_qbar, supp_q_ante)` running counters.
     per_rule: Vec<(u64, u64, u64)>,
-    /// Per center: its evaluation record (the subtractable ledger).
-    outcomes: FxHashMap<NodeId, CenterRecord>,
+    /// Per center: its evaluation record (the subtractable ledger), paged
+    /// so a patched successor shares every page it did not touch.
+    outcomes: PagedMap<CenterRecord>,
     /// Exact per-rule counts, derived from the counters by `finalize`.
     stats: Vec<ConfStats>,
     /// Per-rule confidence.
@@ -629,7 +646,7 @@ impl PredicateState {
             supp_q: 0,
             supp_qbar: 0,
             per_rule: vec![(0, 0, 0); rules],
-            outcomes: FxHashMap::default(),
+            outcomes: PagedMap::new(),
             stats: Vec::new(),
             conf: Vec::new(),
             active: Vec::new(),
@@ -669,7 +686,7 @@ impl PredicateState {
 
     /// Removes `c`'s record, subtracting its exact contribution.
     fn remove_record(&mut self, c: NodeId) {
-        let Some(rec) = self.outcomes.remove(&c) else { return };
+        let Some(rec) = self.outcomes.remove(c) else { return };
         if rec.pruned {
             self.warm_pruned -= 1;
         } else {
@@ -696,7 +713,7 @@ impl PredicateState {
     /// Whether `c`'s current record makes it a customer under `active`.
     fn is_customer(&self, c: NodeId) -> bool {
         self.outcomes
-            .get(&c)
+            .get(c)
             .is_some_and(|rec| rec.q_member.iter().zip(&self.active).any(|(&m, &a)| m && a))
     }
 
@@ -723,15 +740,15 @@ impl PredicateState {
         changed
     }
 
-    /// Rebuilds the full sorted answer set from the ledger — O(|L|).
+    /// Rebuilds the full sorted answer set from the ledger (which
+    /// iterates in id order) — O(|L|).
     fn rebuild_customers(&mut self) {
         self.warm_customers = self
             .outcomes
             .iter()
             .filter(|(_, rec)| rec.q_member.iter().zip(&self.active).any(|(&m, &a)| m && a))
-            .map(|(&c, _)| c)
+            .map(|(c, _)| c)
             .collect();
-        self.warm_customers.sort_unstable();
     }
 
     /// Patches the sorted answer set for exactly the given centers (their
@@ -924,31 +941,32 @@ impl Shared {
         caches: &mut WorkerCaches,
     ) -> CandidateEvaluator<'r> {
         CandidateEvaluator::with_plan_and_sketches(
-            &group.rules,
+            &group.sigma.rules,
             self.opts(),
-            group.plan.clone(),
-            group.eval_sketches.clone(),
+            group.sigma.plan.clone(),
+            group.sigma.eval_sketches.clone(),
         )
         .with_pattern_cache(caches.pattern_cache(&group.predicate))
         .with_scratch(caches.scratch.clone())
     }
 
-    /// Classifies + (unless sketch-pruned) evaluates the center at
-    /// `group.centers[pos]`, producing its ledger record.
+    /// Classifies + (unless sketch-pruned) evaluates center `c` of
+    /// `group` (`sketch` is its entry in `group.centers`), producing its
+    /// ledger record.
     fn evaluate_center(
         &self,
         view: &EngineView,
         group: &PredicateGroup,
         ev: &CandidateEvaluator<'_>,
-        pos: usize,
+        c: NodeId,
+        sketch: &Sketch,
         caches: &mut WorkerCaches,
     ) -> CenterRecord {
-        let c = group.centers[pos];
         // LCWA class is rule-independent and must count *every*
         // candidate, including sketch-pruned ones.
         let class = classify(&view.graph, &group.predicate, c)
             .expect("centers satisfy x's condition by construction");
-        if !group.center_may_match(pos) {
+        if !group.may_match(sketch) {
             return CenterRecord {
                 class,
                 pruned: true,
@@ -957,7 +975,8 @@ impl Shared {
             };
         }
         let shard = caches.shard;
-        let site = caches.scratch.with_neighborhood(|nbr| self.site(view, c, group.d, shard, nbr));
+        let site =
+            caches.scratch.with_neighborhood(|nbr| self.site(view, c, group.sigma.d, shard, nbr));
         let o = ev.evaluate(&site);
         debug_assert_eq!(o.class, class, "site and global LCWA must agree");
         CenterRecord { class, pruned: false, q_member: o.q_member, pr_member: o.pr_member }
@@ -998,8 +1017,10 @@ impl Shared {
     /// state is bit-identical at any worker count.
     fn warm(&self, view: &EngineView, group: &PredicateGroup) -> PredicateState {
         let workers = self.cfg.workers.max(1);
-        let chunks =
-            chunk_by_load(&vec![1u64; group.centers.len()], workers * WARM_CHUNKS_PER_WORKER);
+        // Chunks are runs of whole center pages, balanced by occupancy.
+        let pages: Vec<&[(NodeId, Sketch)]> = group.centers.pages().collect();
+        let loads: Vec<u64> = pages.iter().map(|p| p.len() as u64).collect();
+        let chunks = chunk_by_load(&loads, workers * WARM_CHUNKS_PER_WORKER);
         let exec = Executor::new(workers).with_obs(self.obs.clone());
         let (parts, _stats) = exec.map_indexed(
             chunks.len(),
@@ -1007,15 +1028,17 @@ impl Shared {
             |caches, ci| {
                 let ev = self.evaluator(group, caches);
                 let mut part = WarmPart { records: Vec::new() };
-                for pos in chunks[ci].clone() {
-                    let rec = self.evaluate_center(view, group, &ev, pos, caches);
-                    part.records.push((group.centers[pos], rec));
+                for page in &pages[chunks[ci].clone()] {
+                    for (c, sketch) in *page {
+                        let rec = self.evaluate_center(view, group, &ev, *c, sketch, caches);
+                        part.records.push((*c, rec));
+                    }
                 }
                 self.drain_worker_counters(caches);
                 part
             },
         );
-        let mut state = PredicateState::empty(group.rules.len());
+        let mut state = PredicateState::empty(group.sigma.rules.len());
         state.epoch = view.epoch;
         for part in parts {
             for (c, rec) in part.records {
@@ -1103,34 +1126,30 @@ impl Shared {
         }
         let ev = self.evaluator(group, caches);
 
-        // Position of each center in `centers` (for sketch lookup).
-        let positions: Vec<usize> = match &req.candidates {
-            None => (0..group.centers.len()).collect(),
+        // The requested centers with their sketches, in id order.
+        let centers: Vec<(NodeId, &Sketch)> = match &req.candidates {
+            None => group.centers.iter().collect(),
             Some(cands) => {
                 // Intersect with L; ids outside L are not candidates (no
                 // x-condition match) and are silently excluded, exactly as
                 // EIP never considers them.
-                // `centers` is in id order, so one binary search both
-                // tests membership and yields the position.
-                let mut pos: Vec<usize> =
-                    cands.iter().filter_map(|c| group.center_pos(*c)).collect();
-                pos.sort_unstable();
-                pos.dedup();
-                pos
+                let mut cs: Vec<NodeId> = cands.clone();
+                cs.sort_unstable();
+                cs.dedup();
+                cs.into_iter().filter_map(|c| Some((c, group.centers.get(c)?))).collect()
             }
         };
 
         let mut customers = Vec::new();
         let mut evaluated = 0usize;
         let mut pruned = 0usize;
-        for i in positions {
+        for (c, sketch) in centers {
             // Per-candidate cancellation point: a request whose budget
             // ran out mid-scan stops computing a dead answer here.
             Deadline::check(dl)?;
-            let c = group.centers[i];
             let may_match = {
                 let _s = Span::enter(tb, Stage::CandidatePrune);
-                group.center_may_match(i)
+                group.may_match(sketch)
             };
             if !may_match {
                 pruned += 1;
@@ -1139,7 +1158,9 @@ impl Shared {
             evaluated += 1;
             let site = {
                 let _s = Span::enter(tb, Stage::CacheLookup);
-                caches.scratch.with_neighborhood(|nbr| self.site(&view, c, group.d, shard, nbr))
+                caches
+                    .scratch
+                    .with_neighborhood(|nbr| self.site(&view, c, group.sigma.d, shard, nbr))
             };
             let o = {
                 let _s = Span::enter(tb, Stage::IsoEval);
@@ -1176,6 +1197,7 @@ impl Shared {
             tb.add(Stage::Warmup, warm_started.elapsed());
         }
         let mut out: Vec<RuleInfo> = group
+            .sigma
             .rule_arcs
             .iter()
             .enumerate()
@@ -1219,7 +1241,9 @@ impl Shared {
             tb.add(Stage::Warmup, warm_started.elapsed());
         }
         let _s = Span::enter(tb, Stage::LedgerRead);
-        let nrules = group.rules.len();
+        let nrules = group.sigma.rules.len();
+        // Both arms visit centers in id order, so every member list
+        // comes out sorted.
         let mut q_members: Vec<Vec<NodeId>> = vec![Vec::new(); nrules];
         let push_members = |rec: &CenterRecord, c: NodeId, q_members: &mut Vec<Vec<NodeId>>| {
             for (r, members) in q_members.iter_mut().enumerate().take(nrules) {
@@ -1230,7 +1254,7 @@ impl Shared {
         };
         match &req.candidates {
             None => {
-                for (&c, rec) in state.outcomes.iter() {
+                for (c, rec) in state.outcomes.iter() {
                     push_members(rec, c, &mut q_members);
                 }
             }
@@ -1243,17 +1267,14 @@ impl Shared {
                 cs.dedup();
                 for c in cs {
                     Deadline::check(dl)?;
-                    if let Some(rec) = state.outcomes.get(&c) {
+                    if let Some(rec) = state.outcomes.get(c) {
                         push_members(rec, c, &mut q_members);
                     }
                 }
             }
         }
-        for v in &mut q_members {
-            v.sort_unstable();
-        }
         Ok(ShardAnswer {
-            rules: group.rule_arcs.clone(),
+            rules: group.sigma.rule_arcs.clone(),
             per_rule: state.per_rule.clone(),
             supp_q: state.supp_q,
             supp_qbar: state.supp_qbar,
@@ -1445,6 +1466,11 @@ impl Shared {
                 }
             }
         }
+        // Release the predecessor before a possible self-compaction, so
+        // that fold never runs with a third generation resident. Readers
+        // that pinned it keep it alive; otherwise only the pages the
+        // successor unshared are freed here, after the replies.
+        drop(cur);
         self.maybe_autocompact();
         carry
     }
@@ -1482,7 +1508,7 @@ impl Shared {
         // stale sites. `max(d, 1)` because a center's LCWA class reads
         // its out-neighbors' labels.
         let max_cached_d = cur.cache.lock().keys().map(|&(_, dk)| dk).max().unwrap_or(0);
-        let max_d = index.groups().map(|g| g.d).max().unwrap_or(0).max(max_cached_d).max(1);
+        let max_d = index.groups().map(|g| g.sigma.d).max().unwrap_or(0).max(max_cached_d).max(1);
 
         // Union ball accumulated over every net batch: deletion makes
         // invalidation non-monotone (a center can lose ball content and
@@ -1582,24 +1608,30 @@ impl Shared {
                 drop_one(&mut edge_hist, l, &mut changed_labels);
             }
 
-            // Candidate-set deltas, against the post-batch graph.
+            // Candidate-set deltas, against the post-batch graph. A group
+            // whose center set the batch leaves alone (every pure edge
+            // change) is not even unshared.
             {
                 let _s = Span::enter(tb, Stage::UpdateGroupRepair);
                 let preds: Vec<Predicate> = index.groups().map(|g| g.predicate).collect();
                 for pred in preds {
+                    let group = index.group(&pred).expect("group listed above");
+                    let (mut added, removed) = center_changes(group, &graph, &applied);
+                    // Shard mode: another shard owns this center's
+                    // answers; it performs the same add on its copy.
+                    if let Some(spec) = &self.cfg.owned {
+                        added.retain(|&c| spec.owns(c));
+                    }
+                    if added.is_empty() && removed.is_empty() {
+                        continue;
+                    }
                     let group = index.group_mut(&pred).expect("group listed above");
-                    let (added, removed) = center_changes(group, &graph, &applied);
                     for &c in &removed {
                         if group.remove_center(c) {
                             report.removed_centers += 1;
                         }
                     }
                     for &c in &added {
-                        // Shard mode: another shard owns this center's
-                        // answers; it performs the same add on its copy.
-                        if self.cfg.owned.as_ref().is_some_and(|s| !s.owns(c)) {
-                            continue;
-                        }
                         if group.add_center(&graph, c) {
                             report.added_centers += 1;
                         }
@@ -1683,16 +1715,16 @@ impl Shared {
                 if rebuilt.contains(&pred) {
                     continue;
                 }
-                let group = index.group_mut(&pred).expect("group listed above");
-                let reeval: Vec<NodeId> = dist
+                let group = index.group(&pred).expect("group listed above");
+                // In id order, so the repair unshares each page once.
+                let mut reeval: Vec<NodeId> = dist
                     .iter()
-                    .filter(|&(_, &dd)| dd <= group.d.max(1))
+                    .filter(|&(_, &dd)| dd <= group.sigma.d.max(1))
                     .map(|(&c, _)| c)
-                    .filter(|&c| group.center_pos(c).is_some())
+                    .filter(|&c| group.centers.contains(c))
                     .collect();
-                for &c in &reeval {
-                    group.refresh_center_sketch(&graph, c);
-                }
+                reeval.sort_unstable();
+                index.refresh_sketches(&pred, &graph, &reeval);
                 let removed = removed_by_pred.remove(&pred).unwrap_or_default();
                 if !removed.is_empty() || !reeval.is_empty() {
                     repairs.push((pred, removed, reeval));
@@ -1738,8 +1770,8 @@ impl Shared {
             }
             for &c in &reeval {
                 state.remove_record(c);
-                let pos = group.center_pos(c).expect("reeval centers are candidates");
-                let rec = self.evaluate_center(&next, group, &ev, pos, &mut caches);
+                let sketch = group.centers.get(c).expect("reeval centers are candidates");
+                let rec = self.evaluate_center(&next, group, &ev, c, sketch, &mut caches);
                 state.add_record(c, rec);
                 report.reevaluated += 1;
             }
@@ -1816,13 +1848,9 @@ impl Shared {
                     for state in states.values_mut() {
                         let state = Arc::make_mut(state);
                         state.epoch = epoch;
-                        state.outcomes = state
+                        state
                             .outcomes
-                            .drain()
-                            .map(|(c, rec)| {
-                                (remap.get(c).expect("warmed centers survive compaction"), rec)
-                            })
-                            .collect();
+                            .remap(|c| remap.get(c).expect("warmed centers survive compaction"));
                         for c in &mut state.warm_customers {
                             *c = remap.get(*c).expect("customers are live centers");
                         }
@@ -2858,8 +2886,8 @@ mod tests {
         {
             let view = engine.shared.view.load_full();
             let grp = view.index.group(&pred).unwrap();
-            assert_eq!(grp.rules.len(), 1, "club rule starts signature-deactivated");
-            assert_eq!(grp.inactive_rules, 1);
+            assert_eq!(grp.sigma.rules.len(), 1, "club rule starts signature-deactivated");
+            assert_eq!(grp.sigma.inactive_rules, 1);
         }
         engine.identify(pred, None).unwrap(); // warm the 1-rule group
 
@@ -2876,8 +2904,8 @@ mod tests {
         {
             let view = engine.shared.view.load_full();
             let grp = view.index.group(&pred).unwrap();
-            assert_eq!(grp.rules.len(), 2);
-            assert_eq!(grp.inactive_rules, 0);
+            assert_eq!(grp.sigma.rules.len(), 2);
+            assert_eq!(grp.sigma.inactive_rules, 0);
         }
         assert_matches_fresh_rebuild(&engine, &cat, pred);
     }
@@ -3143,7 +3171,7 @@ mod tests {
         {
             let view = engine.shared.view.load_full();
             let grp = view.index.group(&pred).unwrap();
-            assert_eq!(grp.rules.len(), 2, "club rule starts active");
+            assert_eq!(grp.sigma.rules.len(), 2, "club rule starts active");
         }
         engine.identify(pred, None).unwrap(); // warm the 2-rule group
 
@@ -3157,8 +3185,8 @@ mod tests {
         {
             let view = engine.shared.view.load_full();
             let grp = view.index.group(&pred).unwrap();
-            assert_eq!(grp.rules.len(), 1);
-            assert_eq!(grp.inactive_rules, 1);
+            assert_eq!(grp.sigma.rules.len(), 1);
+            assert_eq!(grp.sigma.inactive_rules, 1);
         }
         assert_matches_fresh_rebuild(&engine, &cat, pred);
     }
@@ -3192,6 +3220,121 @@ mod tests {
         assert_eq!(after.customers, expect);
         assert_matches_fresh_rebuild(&engine, &cat, pred);
         assert_eq!(engine.stats().warmups, 1, "no re-warm despite the id shuffle");
+    }
+
+    /// `pairs` disjoint `cust -like-> rest` pairs (cust `2i`, rest
+    /// `2i + 1`), two in three of which also `visit` — the scenario's
+    /// rule over a group of `pairs` centers, i.e. `pairs / 32` pages.
+    fn wide_scenario(pairs: u32) -> (Arc<Graph>, RuleCatalog, Predicate) {
+        let vocab = Vocab::new();
+        let (cust, rest) = (vocab.intern("cust"), vocab.intern("rest"));
+        let (like, visit) = (vocab.intern("like"), vocab.intern("visit"));
+        vocab.intern("bar");
+        let mut b = GraphBuilder::new(vocab.clone());
+        for i in 0..pairs {
+            let c = b.add_node(cust);
+            let r = b.add_node(rest);
+            b.add_edge(c, r, like);
+            if i % 3 != 0 {
+                b.add_edge(c, r, visit);
+            }
+        }
+        let mut pb = PatternBuilder::new(vocab.clone());
+        let x = pb.node(cust);
+        let y = pb.node(rest);
+        pb.edge(x, y, like);
+        let rule = Arc::new(Gpar::new(pb.designate(x, y).build().unwrap(), visit).unwrap());
+        let pred = *rule.predicate();
+        let mut cat = RuleCatalog::new(vocab);
+        cat.insert(rule, ConfStats::default());
+        (Arc::new(b.build()), cat, pred)
+    }
+
+    /// `(shared, total)` for the index pages, then the ledger pages, of
+    /// `next`: how many are the predecessor's own allocations. Also
+    /// asserts that the rule side is.
+    fn shared_with(next: &EngineView, prev: &EngineView, pred: &Predicate) -> [(usize, usize); 2] {
+        let (ng, pg) = (next.index.group(pred).unwrap(), prev.index.group(pred).unwrap());
+        assert!(Arc::ptr_eq(&ng.sigma, &pg.sigma), "rules are never copied by a center edit");
+        let (ns, ps) = (next.states.lock()[pred].clone(), prev.states.lock()[pred].clone());
+        [ng.centers.shared_pages(&pg.centers), ns.outcomes.shared_pages(&ps.outcomes)]
+    }
+
+    /// The O(delta) contract: a generation shares every index and ledger
+    /// page its update did not touch with its predecessor, and a reader
+    /// that pinned the predecessor keeps reading the old values.
+    #[test]
+    fn a_write_copies_only_the_pages_it_touches() {
+        let (g, cat, pred) = wide_scenario(10_000);
+        let visit = g.vocab().get("visit").unwrap();
+        let engine = ServeEngine::new(g, &cat, ServeConfig { eta: 0.5, ..Default::default() });
+        engine.identify(pred, None).unwrap(); // warm
+        let pinned = engine.shared.view.load_full();
+        assert_eq!(pinned.index.group(&pred).unwrap().centers.len(), 10_000);
+
+        // cust 6000 likes rest 6001 without visiting (unknown); the new
+        // visit edge makes it a positive.
+        let target = NodeId(6000);
+        let report = engine
+            .apply_update(&GraphUpdate {
+                new_edges: vec![(target, NodeId(6001), visit)],
+                ..Default::default()
+            })
+            .unwrap();
+        assert_eq!(report.reevaluated, 1);
+        let next = engine.shared.view.load_full();
+        assert_eq!(next.epoch, pinned.epoch + 1);
+        for (what, (shared, total)) in
+            ["index", "ledger"].into_iter().zip(shared_with(&next, &pinned, &pred))
+        {
+            assert!(total >= 300, "{what}: 10k centers span hundreds of pages, got {total}");
+            assert!(shared * 100 >= total * 95, "{what}: only {shared} of {total} pages shared");
+            assert!(shared < total, "{what}: the touched center's page must be a private copy");
+        }
+        let class_in =
+            |view: &EngineView| view.states.lock()[&pred].outcomes.get(target).unwrap().class;
+        assert_eq!(class_in(&pinned), LcwaClass::Unknown, "the pinned generation is frozen");
+        assert_eq!(class_in(&next), LcwaClass::Positive);
+        assert_eq!(pinned.states.lock()[&pred].epoch, pinned.epoch);
+        assert_matches_fresh_rebuild(&engine, &cat, pred);
+    }
+
+    /// Center-set changes on a many-page group: relabel out, relabel in,
+    /// node removal (each sharing all but the touched pages) and the
+    /// remapping compaction that re-keys every page.
+    #[test]
+    fn center_set_changes_and_remapping_compaction_on_a_paged_group() {
+        let (g, cat, pred) = wide_scenario(10_000);
+        let vocab = g.vocab().clone();
+        let (cust, bar) = (vocab.get("cust").unwrap(), vocab.get("bar").unwrap());
+        let engine = ServeEngine::new(g, &cat, ServeConfig { eta: 0.5, ..Default::default() });
+        engine.identify(pred, None).unwrap(); // warm
+        let steps: [(GraphUpdate, (usize, usize)); 3] = [
+            // The last center of the last page stops being a customer ...
+            (GraphUpdate { relabels: vec![(NodeId(19_998), bar)], ..Default::default() }, (0, 1)),
+            // ... rest 1, on the first page, becomes one ...
+            (GraphUpdate { relabels: vec![(NodeId(1), cust)], ..Default::default() }, (1, 0)),
+            // ... and a center in the middle leaves the graph, so the
+            // compaction below shifts every later id.
+            (GraphUpdate { del_nodes: vec![NodeId(12_000)], ..Default::default() }, (0, 1)),
+        ];
+        for (update, (added, removed)) in steps {
+            let prev = engine.shared.view.load_full();
+            let report = engine.apply_update(&update).unwrap();
+            assert_eq!((report.added_centers, report.removed_centers), (added, removed));
+            let next = engine.shared.view.load_full();
+            for (shared, total) in shared_with(&next, &prev, &pred) {
+                assert!(shared * 100 >= total * 95, "only {shared} of {total} pages shared");
+            }
+            assert_matches_fresh_rebuild(&engine, &cat, pred);
+        }
+        let before = engine.identify(pred, None).unwrap().customers;
+        let remap = engine.compact().expect("the removal forces a remap");
+        let expect: Vec<NodeId> = before.iter().map(|&c| remap.get(c).unwrap()).collect();
+        let after = engine.identify(pred, None).unwrap();
+        assert!(!after.warmed, "the re-keyed ledger still answers");
+        assert_eq!(after.customers, expect);
+        assert_matches_fresh_rebuild(&engine, &cat, pred);
     }
 
     #[test]

@@ -15,8 +15,13 @@
 //!   cover *any* antecedent's demand at `x` are pruned without search
 //!   (§5.2's guidance, hoisted from per-query to index-build time);
 //! * the evaluation radius `d` (max rule radius, as EIP derives it).
+//!
+//! The rule-derived half sits behind one `Arc` ([`GroupRules`]) and the
+//! centers in a [`PagedMap`], so the writer's copy-on-write successor of
+//! a group shares the rules and every center page it does not touch.
 
 use crate::catalog::RuleCatalog;
+use crate::paged::PagedMap;
 use gpar_core::{Gpar, Predicate};
 use gpar_eip::{antecedent_sketches, derive_radius, MatchOpts, SharingPlan};
 use gpar_graph::{FxHashMap, GraphView, Label, NodeId, Sketch};
@@ -66,128 +71,95 @@ impl LabelSignature {
     }
 }
 
-/// Everything precomputed for one consequent predicate.
-#[derive(Debug, Clone)]
-pub struct PredicateGroup {
-    /// The predicate `q(x, y)` this group serves.
-    pub predicate: Predicate,
+/// The rule-side half of a [`PredicateGroup`]: everything derived from the
+/// active rules alone. It changes only when an update flips a rule's
+/// activation (the group is then rebuilt), so groups hold it behind its
+/// own `Arc` and ordinary center maintenance never copies a pattern or
+/// the sharing plan.
+#[derive(Debug)]
+pub struct GroupRules {
     /// Catalog entry indices of the *active* rules, aligned with
-    /// [`PredicateGroup::rules`].
+    /// [`GroupRules::rules`].
     pub entry_indices: Vec<usize>,
     /// Active rules (owned clones, in catalog order) — the Σ every query
     /// for this predicate evaluates.
     pub rules: Vec<Gpar>,
     /// The same rules as shared handles (aligned with
-    /// [`PredicateGroup::rules`]) — query answers clone these `Arc`s
+    /// [`GroupRules::rules`]) — query answers clone these `Arc`s
     /// instead of deep-copying patterns.
     pub rule_arcs: Vec<Arc<Gpar>>,
     /// Rules dropped because their label signature cannot occur in the
     /// graph.
     pub inactive_rules: usize,
-    /// Pre-built common-subpattern sharing plan over [`PredicateGroup::rules`].
+    /// Pre-built common-subpattern sharing plan over [`GroupRules::rules`].
     pub plan: SharingPlan,
     /// Evaluation radius: `max(r(P_R, x), r(Q, x))` over the active rules
     /// (exactly EIP's derivation).
     pub d: u32,
-    /// Candidate centers `L` (nodes satisfying `x`'s condition), id order
-    /// — sorted, so membership of query-supplied ids is a binary search.
-    pub centers: Vec<NodeId>,
     /// Per active rule: the antecedent's sketch at `x`, capped at depth
     /// `d` (for the index-level candidate prefilter).
     pub q_sketches: Arc<Vec<Sketch>>,
     /// Per active rule: the antecedent sketches the *evaluator* uses
     /// (depth from the engine's `MatchOpts`; shares the allocation with
-    /// [`PredicateGroup::q_sketches`] when the depths coincide).
+    /// [`GroupRules::q_sketches`] when the depths coincide).
     pub eval_sketches: Arc<Vec<Sketch>>,
-    /// Per center (aligned with `centers`): its k-hop sketch, if sketch
-    /// pruning is enabled.
-    pub center_sketches: Option<Vec<Sketch>>,
-    /// Effective center-sketch depth (`min(cfg.sketch_k, d)`), kept so
-    /// incremental maintenance rebuilds sketches at the same depth.
+    /// Effective center-sketch depth (`min(cfg.sketch_k, d)`, 0 = sketch
+    /// pruning off), kept so incremental maintenance rebuilds sketches at
+    /// the same depth.
     pub sketch_k: u32,
 }
 
+/// Everything precomputed for one consequent predicate.
+#[derive(Debug, Clone)]
+pub struct PredicateGroup {
+    /// The predicate `q(x, y)` this group serves.
+    pub predicate: Predicate,
+    /// The active rules and what is derived from them.
+    pub sigma: Arc<GroupRules>,
+    /// Candidate centers `L` (nodes satisfying `x`'s condition), each with
+    /// its k-hop sketch (depth [`GroupRules::sketch_k`]; a depth-0 sketch
+    /// allocates nothing). Paged by id range, so a successor generation
+    /// shares every page an update did not touch.
+    pub centers: PagedMap<Sketch>,
+}
+
 impl PredicateGroup {
-    /// Whether the center at `centers[i]` can possibly match *some*
-    /// active antecedent (sound: `false` ⇒ member of no `Q(x, G)`).
-    pub fn center_may_match(&self, i: usize) -> bool {
-        match &self.center_sketches {
-            None => true,
-            Some(sk) => self.q_sketches.iter().any(|q| sk[i].covers(q)),
-        }
+    /// Whether a center with this sketch can possibly match *some* active
+    /// antecedent (sound: `false` ⇒ member of no `Q(x, G)`).
+    pub fn may_match(&self, sketch: &Sketch) -> bool {
+        self.sigma.sketch_k == 0 || self.sigma.q_sketches.iter().any(|q| sketch.covers(q))
     }
 
-    /// Position of `c` in the sorted center list, if it is a candidate.
-    #[inline]
-    pub fn center_pos(&self, c: NodeId) -> Option<usize> {
-        self.centers.binary_search(&c).ok()
-    }
-
-    /// Admits `c` as a candidate center (no-op if already present),
-    /// keeping `centers` sorted and the sketch column aligned. Returns
-    /// whether the center was new.
+    /// Admits `c` as a candidate center (no-op if already present).
+    /// Returns whether the center was new.
     pub fn add_center<G: GraphView + ?Sized>(&mut self, g: &G, c: NodeId) -> bool {
-        match self.centers.binary_search(&c) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.centers.insert(pos, c);
-                if let Some(sk) = &mut self.center_sketches {
-                    sk.insert(pos, Sketch::build(g, c, self.sketch_k));
-                }
-                true
-            }
+        if self.centers.contains(c) {
+            return false;
         }
+        self.centers.insert(c, Sketch::build(g, c, self.sigma.sketch_k));
+        true
     }
 
     /// Retires `c` as a candidate center (after a relabel away from `x`'s
     /// condition). Returns whether it was present.
     pub fn remove_center(&mut self, c: NodeId) -> bool {
-        match self.centers.binary_search(&c) {
-            Ok(pos) => {
-                self.centers.remove(pos);
-                if let Some(sk) = &mut self.center_sketches {
-                    sk.remove(pos);
-                }
-                true
-            }
-            Err(_) => false,
-        }
+        self.centers.remove(c).is_some()
     }
 
-    /// Recomputes the stored sketch of `c` against the current graph
-    /// (called for centers within the invalidation ball of an update).
-    pub fn refresh_center_sketch<G: GraphView + ?Sized>(&mut self, g: &G, c: NodeId) {
-        if let Ok(pos) = self.centers.binary_search(&c) {
-            let k = self.sketch_k;
-            if let Some(sk) = &mut self.center_sketches {
-                sk[pos] = Sketch::build(g, c, k);
-            }
-        }
-    }
-
-    /// Drops every center failing `keep`, keeping the sketch column
-    /// aligned. The sharded engine uses this to restrict a group (built
-    /// or rebuilt against the full graph) to the shard's owned centers.
+    /// Drops every center failing `keep`. The sharded engine uses this to
+    /// restrict a group (built or rebuilt against the full graph) to the
+    /// shard's owned centers.
     pub fn retain_centers(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
-        let mask: Vec<bool> = self.centers.iter().map(|&c| keep(c)).collect();
-        let mut it = mask.iter();
-        self.centers.retain(|_| *it.next().expect("mask aligned"));
-        if let Some(sk) = &mut self.center_sketches {
-            let mut it = mask.iter();
-            sk.retain(|_| *it.next().expect("mask aligned"));
-        }
+        self.centers.retain(|c, _| keep(c));
     }
 
-    /// Translates the center list through a compaction [`NodeRemap`]. All
+    /// Translates the centers through a compaction [`NodeRemap`]. All
     /// centers must survive (removed nodes are retired from every group
-    /// when the removal batch is applied, before any compaction), and the
-    /// remap is monotone, so the list stays sorted and the sketch column
-    /// stays aligned.
+    /// when the removal batch is applied, before any compaction).
+    ///
+    /// [`NodeRemap`]: gpar_graph::NodeRemap
     pub fn remap_centers(&mut self, remap: &gpar_graph::NodeRemap) {
-        for c in &mut self.centers {
-            *c = remap.get(*c).expect("removed centers are retired at removal time");
-        }
-        debug_assert!(self.centers.is_sorted(), "monotone remap preserves order");
+        self.centers.remap(|c| remap.get(c).expect("removed centers are retired at removal time"));
     }
 }
 
@@ -198,9 +170,11 @@ impl PredicateGroup {
 #[derive(Debug, Default, Clone)]
 pub struct CandidateIndex {
     // Groups are `Arc`-wrapped so cloning the index for the next
-    // copy-on-write snapshot costs one refcount bump per predicate;
-    // incremental maintenance unshares only the groups it actually
-    // touches (`Arc::make_mut`).
+    // copy-on-write snapshot costs one refcount bump per predicate.
+    // The first `group_mut` on a group the published snapshot still
+    // holds clones the group *struct* — the rules `Arc` plus the center
+    // page table, one refcount bump per page — and from then on each
+    // center edit copies only the page it lands in.
     groups: Map<Predicate, Arc<PredicateGroup>>,
     dormant: Vec<Predicate>,
 }
@@ -243,9 +217,32 @@ impl CandidateIndex {
 
     /// Mutable access to the group serving `pred` (incremental
     /// maintenance on the writer's private next-snapshot copy). Unshares
-    /// the group if a published snapshot still holds it.
+    /// the group if a published snapshot still holds it — its center
+    /// pages stay shared until edited.
     pub fn group_mut(&mut self, pred: &Predicate) -> Option<&mut PredicateGroup> {
         self.groups.get_mut(pred).map(Arc::make_mut)
+    }
+
+    /// Recomputes the stored sketches of `centers` (the candidates of
+    /// `pred` inside an update's invalidation ball) against the current
+    /// graph. Unshares nothing when there is nothing to recompute: no
+    /// centers, or sketch pruning off (depth-0 sketches are all alike).
+    pub fn refresh_sketches<G: GraphView + ?Sized>(
+        &mut self,
+        pred: &Predicate,
+        g: &G,
+        centers: &[NodeId],
+    ) {
+        let Some(k) = self.group(pred).map(|grp| grp.sigma.sketch_k) else { return };
+        if k == 0 || centers.is_empty() {
+            return;
+        }
+        let group = self.group_mut(pred).expect("probed above");
+        for &c in centers {
+            if let Some(sketch) = group.centers.get_mut(c) {
+                *sketch = Sketch::build(g, c, k);
+            }
+        }
     }
 
     /// Number of predicate groups.
@@ -303,11 +300,12 @@ impl CandidateIndex {
         node_hist: &FxHashMap<Label, u64>,
         edge_hist: &FxHashMap<Label, u64>,
     ) -> bool {
-        let before: Option<Vec<usize>> = self.groups.get(pred).map(|g| g.entry_indices.clone());
+        let before: Option<Vec<usize>> =
+            self.groups.get(pred).map(|g| g.sigma.entry_indices.clone());
         let rebuilt = build_group(
             graph, catalog, pred, sketch_k, d_override, eval_opts, node_hist, edge_hist,
         );
-        let after: Option<Vec<usize>> = rebuilt.as_ref().map(|g| g.entry_indices.clone());
+        let after: Option<Vec<usize>> = rebuilt.as_ref().map(|g| g.sigma.entry_indices.clone());
         if before == after {
             return false; // activation unchanged; keep the maintained group
         }
@@ -362,44 +360,40 @@ fn build_group<G: GraphView + ?Sized>(
         NodeCond::Label(l) => graph.label_members(l),
         NodeCond::Any => graph.nodes().collect(),
     };
-    debug_assert!(centers.is_sorted(), "centers must stay binary-searchable");
     let eval_sketches = antecedent_sketches(&rules, eval_opts);
     // Index-side sketch depth must not exceed the evaluation
     // radius: center sketches are built on the full graph, site
     // evaluation sees the d-ball, and the two agree exactly on
     // the first min(k, d) hops.
     let k = sketch_k.min(d);
-    let (q_sketches, center_sketches) = if k > 0 {
-        let eval_depth = eval_sketches.first().map_or(0, |s| s.depth() as u32);
-        let qs = if eval_depth == k {
-            // Same depth: the prefilter shares the evaluator's set.
-            eval_sketches.clone()
-        } else {
-            Arc::new(
-                rules
-                    .iter()
-                    .map(|r| pattern_sketch(r.antecedent(), r.antecedent().x(), k))
-                    .collect::<Vec<Sketch>>(),
-            )
-        };
-        let cs: Vec<Sketch> = centers.iter().map(|&c| Sketch::build(graph, c, k)).collect();
-        (qs, Some(cs))
+    let q_sketches = if k == 0 {
+        Arc::new(Vec::new())
+    } else if eval_sketches.first().map_or(0, |s| s.depth() as u32) == k {
+        // Same depth: the prefilter shares the evaluator's set.
+        eval_sketches.clone()
     } else {
-        (Arc::new(Vec::new()), None)
+        Arc::new(
+            rules
+                .iter()
+                .map(|r| pattern_sketch(r.antecedent(), r.antecedent().x(), k))
+                .collect::<Vec<Sketch>>(),
+        )
     };
+    let centers = centers.into_iter().map(|c| (c, Sketch::build(graph, c, k))).collect();
     Some(PredicateGroup {
         predicate: *pred,
-        entry_indices,
-        rules,
-        rule_arcs,
-        inactive_rules: inactive,
-        plan,
-        d,
+        sigma: Arc::new(GroupRules {
+            entry_indices,
+            rules,
+            rule_arcs,
+            inactive_rules: inactive,
+            plan,
+            d,
+            q_sketches,
+            eval_sketches,
+            sketch_k: k,
+        }),
         centers,
-        q_sketches,
-        eval_sketches,
-        center_sketches,
-        sketch_k: k,
     })
 }
 
@@ -450,9 +444,9 @@ mod tests {
         let (g, cat, pred) = setup();
         let idx = CandidateIndex::build(&g, &cat, 2, None, &test_opts());
         let grp = idx.group(&pred).expect("group exists");
-        assert_eq!(grp.rules.len(), 1, "ghost rule must be inactive");
-        assert_eq!(grp.inactive_rules, 1);
-        assert_eq!(grp.entry_indices, vec![0]);
+        assert_eq!(grp.sigma.rules.len(), 1, "ghost rule must be inactive");
+        assert_eq!(grp.sigma.inactive_rules, 1);
+        assert_eq!(grp.sigma.entry_indices, vec![0]);
     }
 
     #[test]
@@ -461,9 +455,11 @@ mod tests {
         let idx = CandidateIndex::build(&g, &cat, 0, None, &test_opts());
         let grp = idx.group(&pred).unwrap();
         assert_eq!(grp.centers.len(), 4, "four cust nodes");
-        assert!(grp.center_sketches.is_none(), "k = 0 disables sketches");
-        assert!(grp.center_may_match(0), "no sketches ⇒ nobody pruned");
-        assert!(grp.centers.is_sorted(), "centers must be binary-searchable");
+        for (c, sketch) in grp.centers.iter() {
+            assert_eq!(sketch.depth(), 0, "k = 0 disables sketches");
+            assert!(grp.may_match(sketch), "no sketches ⇒ center {c} not pruned");
+        }
+        assert!(grp.centers.iter().map(|(c, _)| c).is_sorted(), "centers iterate in id order");
     }
 
     #[test]
@@ -471,11 +467,11 @@ mod tests {
         let (g, cat, pred) = setup();
         let idx = CandidateIndex::build(&g, &cat, 2, None, &test_opts());
         let grp = idx.group(&pred).unwrap();
-        let sk = grp.center_sketches.as_ref().unwrap();
-        assert_eq!(sk.len(), grp.centers.len());
+        assert_eq!(grp.centers.len(), 4);
         // Every cust here has a like-edge to a rest: none may be pruned.
-        for i in 0..grp.centers.len() {
-            assert!(grp.center_may_match(i), "center {i} wrongly pruned");
+        for (c, sketch) in grp.centers.iter() {
+            assert_eq!(sketch.depth(), 1, "depth is min(sketch_k, d)");
+            assert!(grp.may_match(sketch), "center {c} wrongly pruned");
         }
     }
 
@@ -483,8 +479,8 @@ mod tests {
     fn derived_radius_covers_antecedent_and_rule() {
         let (g, cat, pred) = setup();
         let idx = CandidateIndex::build(&g, &cat, 2, None, &test_opts());
-        assert_eq!(idx.group(&pred).unwrap().d, 1);
+        assert_eq!(idx.group(&pred).unwrap().sigma.d, 1);
         let idx = CandidateIndex::build(&g, &cat, 2, Some(3), &test_opts());
-        assert_eq!(idx.group(&pred).unwrap().d, 3);
+        assert_eq!(idx.group(&pred).unwrap().sigma.d, 3);
     }
 }

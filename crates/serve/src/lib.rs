@@ -88,6 +88,7 @@ pub mod catalog;
 pub mod clock;
 pub mod engine;
 pub mod index;
+pub mod paged;
 pub mod shard;
 
 pub use cache::{CacheStats, LruCache};
@@ -103,4 +104,5 @@ pub use shard::ShardedEngine;
 pub use gpar_obs::{
     Counter, HistKind, HistogramSnapshot, MetricsSnapshot, Stage, Trace, TraceKind, Ts,
 };
-pub use index::{CandidateIndex, LabelSignature, PredicateGroup};
+pub use index::{CandidateIndex, GroupRules, LabelSignature, PredicateGroup};
+pub use paged::{PagedMap, PAGE_BITS};

@@ -10,6 +10,7 @@
 use gpar::core::{ConfStats, Predicate};
 use gpar::graph::{Graph, GraphBuilder, GraphUpdate, Label, NodeId};
 use gpar::serve::{ServeEngine, ShardedEngine};
+use proptest::prelude::TestRng;
 use std::sync::Arc;
 
 /// The most frequent edge triple of a synthetic graph, as its predicate.
@@ -21,6 +22,41 @@ pub fn predicate_of(g: &Graph) -> Option<Predicate> {
         *el,
         gpar::pattern::NodeCond::Label(*dl),
     ))
+}
+
+/// The id-scattered strategy: `g` with its node ids permuted by a
+/// Fisher–Yates shuffle seeded with `seed` (what perfbench's `--seed`
+/// does to its frozen graphs), or `g` unchanged for seed 0. The serving
+/// state is paged by id range, so where a label's nodes sit in the id
+/// space decides which pages a batch edits: scattering puts the centers
+/// of one predicate on every page — first, last and the one appended
+/// nodes open — instead of wherever the generator's numbering left them.
+/// Predicates and rules are patterns over labels; derive them before or
+/// after, they are the same.
+pub fn scattered(g: &Graph, seed: u64) -> Graph {
+    if seed == 0 {
+        return g.clone();
+    }
+    let n = g.node_count();
+    let mut rng = TestRng::for_case("scattered", seed as u32);
+    let mut new_id: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        new_id.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut labels = vec![g.node_label(NodeId(0)); n];
+    for v in g.nodes() {
+        labels[new_id[v.index()] as usize] = g.node_label(v);
+    }
+    let mut b = GraphBuilder::new(g.vocab().clone());
+    for &l in &labels {
+        b.add_node(l);
+    }
+    for v in g.nodes() {
+        for e in g.out_edges(v) {
+            b.add_edge(NodeId(new_id[v.index()]), NodeId(new_id[e.node.index()]), e.label);
+        }
+    }
+    b.build()
 }
 
 /// Worker counts to compare: {1, 2, 8} plus any `GPAR_WORKERS` override.

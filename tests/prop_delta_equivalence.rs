@@ -13,13 +13,18 @@
 //! fresh engine's answers back into the overlay's stable id space — an
 //! independent check of the compaction remap semantics as well.
 //!
+//! A quarter of the cases keep the generator's node numbering; the rest
+//! scatter the ids with a seeded permutation ([`scattered`]), so the
+//! centers a batch edits sit on every page of the id-paged serving state.
+//!
 //! The default case count is deliberately small (the suite builds many
 //! engines per case); CI's delta-fuzz leg raises it via `PROPTEST_CASES`.
 
 mod delta_fuzz;
 
 use delta_fuzz::{
-    label_universe, predicate_of, surface, surface_to_overlay_ids, worker_counts, Materialized,
+    label_universe, predicate_of, scattered, surface, surface_to_overlay_ids, worker_counts,
+    Materialized,
 };
 use gpar::core::{ConfStats, Gpar};
 use gpar::datagen::{generate_rules, synthetic, RuleGenConfig, SyntheticConfig};
@@ -46,8 +51,9 @@ proptest! {
             ),
             1..4,
         ),
+        scatter in 0u64..4, // 0 keeps the generator's numbering
     ) {
-        let g = synthetic(&SyntheticConfig::sized(nodes, nodes * 2, seed));
+        let g = scattered(&synthetic(&SyntheticConfig::sized(nodes, nodes * 2, seed)), scatter);
         let Some(pred) = predicate_of(&g) else { return };
         let sigma: Vec<Gpar> = generate_rules(&g, &pred, &RuleGenConfig {
             count: rules,

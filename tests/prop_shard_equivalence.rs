@@ -14,6 +14,10 @@
 //! deletion's union ball reaches through one shard's halo into
 //! another's owned range, so both sides must repair.
 //!
+//! Three cases in four scatter the node ids with a seeded permutation
+//! (`delta_fuzz::scattered`), so each shard's contiguous owned range
+//! holds centers on every page of its id-paged state.
+//!
 //! The default case count is deliberately small (each case runs up to
 //! four sharded fronts next to the reference engine); CI raises it via
 //! `PROPTEST_CASES` and pins shard counts via `GPAR_SHARDS`.
@@ -21,7 +25,7 @@
 mod delta_fuzz;
 
 use delta_fuzz::{
-    label_universe, predicate_of, shard_counts, sharded_surface, surface, Materialized,
+    label_universe, predicate_of, scattered, shard_counts, sharded_surface, surface, Materialized,
 };
 use gpar::core::{ConfStats, Gpar};
 use gpar::datagen::{generate_rules, synthetic, RuleGenConfig, SyntheticConfig};
@@ -56,8 +60,9 @@ proptest! {
             ),
             1..4,
         ),
+        scatter in 0u64..4, // 0 keeps the generator's numbering
     ) {
-        let g = synthetic(&SyntheticConfig::sized(nodes, nodes * 2, seed));
+        let g = scattered(&synthetic(&SyntheticConfig::sized(nodes, nodes * 2, seed)), scatter);
         let Some(pred) = predicate_of(&g) else { return };
         let sigma: Vec<Gpar> = generate_rules(&g, &pred, &RuleGenConfig {
             count: rules,
