@@ -739,7 +739,6 @@ fn main() {
     let stage_kinds = [
         HistKind::QueueWait,
         HistKind::CacheLookup,
-        HistKind::CandidatePrune,
         HistKind::IsoEval,
         HistKind::LedgerRead,
         HistKind::UpdateDiff,

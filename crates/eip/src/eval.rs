@@ -87,7 +87,7 @@ pub struct CandidateEvaluator<'r> {
     plan: Option<SharingPlan>,
     /// Antecedent sketches at `x`, for the candidate-level prefilter
     /// (shareable across evaluators, see [`antecedent_sketches`]).
-    q_sketches: std::sync::Arc<Vec<Sketch>>,
+    ante_sketches: std::sync::Arc<Vec<Sketch>>,
     sketch_k: u32,
     /// Pattern sketches shared across the per-site matchers (they do not
     /// depend on the data graph).
@@ -139,16 +139,16 @@ impl<'r> CandidateEvaluator<'r> {
         rules: &'r [Gpar],
         opts: MatchOpts,
         plan: SharingPlan,
-        q_sketches: std::sync::Arc<Vec<Sketch>>,
+        ante_sketches: std::sync::Arc<Vec<Sketch>>,
     ) -> Self {
-        assert_eq!(q_sketches.len(), rules.len(), "sketches must align with rules");
+        assert_eq!(ante_sketches.len(), rules.len(), "sketches must align with rules");
         let plan = opts.subpattern_sharing.then_some(plan);
         Self {
             rules,
             pred: *rules[0].predicate(),
             opts,
             plan,
-            q_sketches,
+            ante_sketches,
             sketch_k: effective_sketch_k(&opts),
             psketch_cache: gpar_iso::PatternSketchCache::default(),
             scratch: gpar_iso::SharedScratch::default(),
@@ -161,7 +161,7 @@ impl<'r> CandidateEvaluator<'r> {
             pred: *rules[0].predicate(),
             opts,
             plan,
-            q_sketches: antecedent_sketches(rules, &opts),
+            ante_sketches: antecedent_sketches(rules, &opts),
             sketch_k: effective_sketch_k(&opts),
             psketch_cache: gpar_iso::PatternSketchCache::default(),
             scratch: gpar_iso::SharedScratch::default(),
@@ -209,7 +209,7 @@ impl<'r> CandidateEvaluator<'r> {
             }
             // Sketch prefilter on the antecedent demand at x.
             if let Some(cs) = &center_sketch {
-                if !cs.covers(&self.q_sketches[r]) {
+                if !cs.covers(&self.ante_sketches[r]) {
                     continue;
                 }
             }

@@ -54,7 +54,7 @@ pub use neighborhood::{
     ball, ball_with, bfs_layers, bfs_layers_with, d_neighborhood, d_neighborhood_with,
     extract_induced, extract_induced_with, multi_source_distances, Extracted, NeighborhoodScratch,
 };
-pub use sketch::{Sketch, SketchIndex};
+pub use sketch::Sketch;
 pub use view::{EdgeView, GraphView, MergedEdges};
 pub use visited::{EpochMap, VisitedBuffer};
 

@@ -13,7 +13,7 @@
 //! paper's notation), `v'` cannot match `u'` and is pruned. The surplus
 //! `Σ_i (D_i − D'_i)` is the paper's ranking score `f(u', v')`.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::NodeId;
 use crate::label::Label;
 use crate::neighborhood::{bfs_layers_with, NeighborhoodScratch};
 use crate::view::GraphView;
@@ -148,58 +148,11 @@ impl Sketch {
     }
 }
 
-/// Pre-computed sketches for a set of nodes of one graph.
-#[derive(Debug, Clone)]
-pub struct SketchIndex {
-    k: u32,
-    sketches: FxHashMap<NodeId, Sketch>,
-}
-
-impl SketchIndex {
-    /// Builds sketches for `nodes` (typically the candidate centers `L`),
-    /// sharing one traversal scratch across the whole set.
-    pub fn build_for<G: GraphView + ?Sized>(
-        g: &G,
-        nodes: impl IntoIterator<Item = NodeId>,
-        k: u32,
-    ) -> Self {
-        let mut scratch = NeighborhoodScratch::new();
-        let sketches =
-            nodes.into_iter().map(|v| (v, Sketch::build_with(g, v, k, &mut scratch))).collect();
-        Self { k, sketches }
-    }
-
-    /// Builds sketches for every node of `g`. Only use on small graphs or
-    /// fragments; for big graphs prefer [`SketchIndex::build_for`].
-    pub fn build_all(g: &Graph, k: u32) -> Self {
-        Self::build_for(g, g.nodes(), k)
-    }
-
-    /// Sketch depth `k`.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// The sketch of `v`, if indexed.
-    pub fn get(&self, v: NodeId) -> Option<&Sketch> {
-        self.sketches.get(&v)
-    }
-
-    /// Number of indexed nodes.
-    pub fn len(&self) -> usize {
-        self.sketches.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sketches.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::graph::Graph;
     use crate::label::Vocab;
 
     /// Star: center cust with 3 `like`-> restaurant, 1 `friend`-> cust;
@@ -262,16 +215,5 @@ mod tests {
         let sc = Sketch::build(&g, c, 2).surplus(&pat).unwrap();
         let sf = Sketch::build(&g, f, 2).surplus(&pat).unwrap();
         assert!(sc > sf, "center has more like-edges, so a larger surplus");
-    }
-
-    #[test]
-    fn index_builds_for_selected_nodes() {
-        let (g, c, f) = star();
-        let idx = SketchIndex::build_for(&g, [c], 2);
-        assert_eq!(idx.len(), 1);
-        assert!(idx.get(c).is_some());
-        assert!(idx.get(f).is_none());
-        let all = SketchIndex::build_all(&g, 2);
-        assert_eq!(all.len(), g.node_count());
     }
 }

@@ -21,9 +21,7 @@
 
 use crate::order::visit_order_into as visit_order;
 use crate::scratch::{ScratchArena, SharedScratch};
-use gpar_graph::{
-    Edge, FxHashMap, FxHashSet, Graph, Label, NeighborhoodScratch, NodeId, Sketch, SketchIndex,
-};
+use gpar_graph::{Edge, FxHashMap, FxHashSet, Graph, Label, NeighborhoodScratch, NodeId, Sketch};
 use gpar_pattern::{pattern_sketch, EdgeCond, NodeCond, PNodeId, Pattern};
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -132,7 +130,6 @@ pub type PatternSketchCache = std::rc::Rc<RefCell<FxHashMap<Vec<u64>, std::rc::R
 pub struct Matcher<'g> {
     g: &'g Graph,
     cfg: MatcherConfig,
-    precomputed: Option<&'g SketchIndex>,
     cache: RefCell<FxHashMap<NodeId, Sketch>>,
     /// Lazily created so matchers that never run guided search (or that
     /// get a shared cache) allocate nothing here.
@@ -150,18 +147,11 @@ impl<'g> Matcher<'g> {
         Self {
             g,
             cfg,
-            precomputed: None,
             cache: RefCell::new(FxHashMap::default()),
             pattern_cache: RefCell::new(None),
             scratch: None,
             own_arena: RefCell::new(None),
         }
-    }
-
-    /// Creates a matcher that consults a precomputed sketch index before
-    /// falling back to on-demand sketch construction.
-    pub fn with_sketches(g: &'g Graph, cfg: MatcherConfig, idx: &'g SketchIndex) -> Self {
-        Self { precomputed: Some(idx), ..Self::new(g, cfg) }
     }
 
     /// Replaces the pattern-sketch cache with a shared one (see
@@ -856,11 +846,6 @@ impl<'g> Matcher<'g> {
         nbr: &mut NeighborhoodScratch,
         f: impl FnOnce(&Sketch) -> R,
     ) -> R {
-        if let Some(idx) = self.precomputed {
-            if let Some(s) = idx.get(v) {
-                return f(s);
-            }
-        }
         if let Some(s) = self.cache.borrow().get(&v) {
             return f(s);
         }
@@ -1030,9 +1015,6 @@ fn intersect_run(tmp: &mut Vec<NodeId>, tmp2: &mut Vec<NodeId>, run: &[Edge]) {
     }
     std::mem::swap(tmp, tmp2);
 }
-
-/// A `Label` helper re-export for downstream test utilities.
-pub type LabelAlias = Label;
 
 #[cfg(test)]
 mod tests {
@@ -1543,16 +1525,5 @@ mod tests {
             assert!(m.exists_anchored(&p, x, a), "engine {:?}", cfg.kind);
             assert_eq!(m.count_anchored(&p, x, a, None), 1, "engine {:?}", cfg.kind);
         }
-    }
-
-    #[test]
-    fn guided_respects_precomputed_sketches() {
-        let (g, custs, _) = build_g1();
-        let q1 = build_q1(g.vocab());
-        let idx = SketchIndex::build_all(&g, 2);
-        let m = Matcher::with_sketches(&g, MatcherConfig::guided(), &idx);
-        let imgs = m.images(&q1, q1.x());
-        assert!(imgs.contains(&custs[0]));
-        assert!(!imgs.contains(&custs[3]));
     }
 }

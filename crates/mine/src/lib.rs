@@ -59,5 +59,5 @@ pub mod reduction;
 pub mod worker;
 
 pub use dmine::{DMine, DmineConfig, MineOpts, MineResult};
-pub use messages::{LocalConf, MinedRule, RuleMsg};
+pub use messages::{LocalConf, MinedRule};
 pub use naive::discover_then_diversify;

@@ -35,17 +35,6 @@ impl LocalConf {
     }
 }
 
-/// One worker→coordinator rule report: `⟨R, conf, flag⟩`.
-#[derive(Debug, Clone)]
-pub struct RuleMsg {
-    /// The (locally generated) rule.
-    pub rule: Gpar,
-    /// Local confidence components.
-    pub conf: LocalConf,
-    /// Whether the rule can still be extended at this worker.
-    pub extendable: bool,
-}
-
 /// A fully assembled rule at the coordinator, with global statistics.
 #[derive(Debug, Clone)]
 pub struct MinedRule {

@@ -90,10 +90,8 @@ metric_enum! {
         BallsExtracted => "balls_extracted",
         /// Nodes visited across all d-ball BFS traversals.
         BallNodesVisited => "ball_nodes_visited",
-        /// Candidate centers fully evaluated (not pruned beforehand).
+        /// Candidate centers evaluated (warm-up ledger + per-query reads).
         CentersEvaluated => "centers_evaluated",
-        /// Candidate centers skipped by the k-hop sketch prune.
-        CentersSketchPruned => "centers_sketch_pruned",
         /// Centers re-evaluated during incremental update repair.
         UpdateReevaluated => "update_reevaluated",
         /// Predicate groups rebuilt (vs incrementally repaired) by updates.
@@ -135,8 +133,6 @@ metric_enum! {
         QueueWait => "queue_wait",
         /// D-ball cache probe + (on miss) extraction time.
         CacheLookup => "cache_lookup",
-        /// Candidate pruning time (sketch + signature checks).
-        CandidatePrune => "candidate_prune",
         /// Isomorphism evaluation time over extracted sites.
         IsoEval => "iso_eval",
         /// Warm-ledger read/membership time.

@@ -136,14 +136,12 @@ macro_rules! metric_stage_enum {
 
 metric_stage_enum! {
     /// The stages a request's time is attributed to. Query stages map
-    /// onto the serving pipeline (queue wait → cache lookup → candidate
-    /// pruning → iso eval → ledger read); update stages onto the
-    /// incremental-maintenance pipeline (diff → commit → BFS → group
-    /// repair → ledger patch).
+    /// onto the serving pipeline (queue wait → cache lookup → iso eval →
+    /// ledger read); update stages onto the incremental-maintenance
+    /// pipeline (diff → commit → BFS → group repair → ledger patch).
     pub enum Stage {
         QueueWait => ("queue_wait", HistKind::QueueWait),
         CacheLookup => ("cache_lookup", HistKind::CacheLookup),
-        CandidatePrune => ("candidate_prune", HistKind::CandidatePrune),
         IsoEval => ("iso_eval", HistKind::IsoEval),
         LedgerRead => ("ledger_read", HistKind::LedgerRead),
         Warmup => ("warmup", HistKind::Warmup),

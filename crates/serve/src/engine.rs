@@ -22,7 +22,10 @@
 //! * Subsequent `identify(pred, candidates?)` requests re-evaluate only
 //!   the requested candidates' antecedent memberships, with d-ball
 //!   extraction — the dominant per-candidate cost — served from a shared
-//!   LRU cache ([`crate::cache::LruCache`]).
+//!   LRU cache ([`crate::cache::LruCache`]). These reads are the cache's
+//!   only writers: warm-up and write repair visit each center once per
+//!   generation, so they extract their balls on the worker's scratch and
+//!   leave the cache alone.
 //! * Rule-group state built at index time is reused across the batch:
 //!   the [`gpar_eip::SharingPlan`] is cloned (two small `Vec`s) into each
 //!   request's [`CandidateEvaluator`] instead of re-deriving the `|Σ|²`
@@ -57,12 +60,12 @@
 //! `Arc`-shared (its clone is a few refcount bumps). Each group's
 //! centers and each warm ledger's per-center records live in a
 //! [`PagedMap`]: cloning one bumps a refcount per page of 64 ids, and an
-//! edit — a center admitted or retired, a sketch refreshed, a record
-//! re-evaluated — copies only the page it lands in. A group's rule side
+//! edit — a center admitted or retired, a record re-evaluated — copies
+//! only the page it lands in. A group's rule side
 //! ([`crate::index::GroupRules`]) is one more `Arc`, replaced only when a
-//! rule's activation flips. A group whose center set and sketches the
-//! batch leaves alone is not unshared at all, and neither is the ledger
-//! of a predicate with nothing to re-evaluate. The predecessor stays
+//! rule's activation flips. A group whose center set the batch leaves
+//! alone is not unshared at all, and neither is the ledger of a
+//! predicate with nothing to re-evaluate. The predecessor stays
 //! complete for the readers that pinned it; once they let go, dropping
 //! it frees just the pages its successor replaced.
 //!
@@ -83,12 +86,12 @@
 //!
 //! 1. evicts exactly the `(center, d)` d-ball cache entries inside the
 //!    union ball,
-//! 2. repairs each predicate's candidate set and center sketches
-//!    incrementally (new/relabeled centers in, relabeled-away **and
-//!    removed** centers out, in-ball sketches recomputed — in id order,
-//!    so each touched page is copied once),
+//! 2. repairs each predicate's candidate set incrementally
+//!    (new/relabeled centers in, relabeled-away **and removed** centers
+//!    out),
 //! 3. re-evaluates only the in-ball + new centers of every *warmed*
-//!    predicate, patching the per-rule [`ConfStats`] by subtracting each
+//!    predicate — in id order, so each touched ledger page is copied
+//!    once — patching the per-rule [`ConfStats`] by subtracting each
 //!    re-evaluated center's old contribution and adding its new one —
 //!    removed centers are subtracted from the outcome ledger without
 //!    replacement, so a rule whose last supporting center vanished drops
@@ -136,7 +139,7 @@ use gpar_eip::{CandidateEvaluator, EipAlgorithm, MatchOpts};
 use gpar_exec::{Executor, Injector, PopTimeout, Priority, PushError};
 use gpar_graph::{
     multi_source_distances, Coalescer, DeltaGraph, FxHashMap, Graph, GraphUpdate, GraphView, Label,
-    NeighborhoodScratch, NodeId, NodeRemap, Sketch, UpdateInvalid, Vocab,
+    NeighborhoodScratch, NodeId, NodeRemap, UpdateInvalid, Vocab,
 };
 use gpar_obs::{
     Counter, Gauge, HistKind, MetricsRegistry, MetricsSnapshot, Span, Stage, Trace, TraceBuilder,
@@ -174,9 +177,6 @@ pub struct ServeConfig {
     pub d: Option<u32>,
     /// Per-candidate matching preset (the EIP algorithm variants).
     pub algorithm: EipAlgorithm,
-    /// Depth of the index-time candidate sketches (0 disables candidate
-    /// pruning; effective depth is capped at the group's radius `d`).
-    pub sketch_k: u32,
     /// Per-request traces retained in the engine's ring buffer
     /// ([`ServeEngine::traces`]; 0 disables trace recording).
     pub trace_capacity: usize,
@@ -225,7 +225,6 @@ impl Default for ServeConfig {
             eta: 1.5,
             d: None,
             algorithm: EipAlgorithm::Match,
-            sketch_k: 2,
             trace_capacity: 256,
             queue_capacity: 0,
             coalesce_window: Duration::ZERO,
@@ -361,14 +360,11 @@ pub struct IdentifyRequest {
 pub struct IdentifyResponse {
     /// Identified potential customers, sorted by node id.
     pub customers: Vec<NodeId>,
-    /// Candidates actually evaluated (after intersection with `L` and
-    /// sketch pruning). On the request that performed the warm-up
-    /// (`warmed == true`) this reports the warm pass's counts over *all*
-    /// of `L`, since that pass answered the request.
+    /// Candidates evaluated (the request's candidates intersected with
+    /// `L`). On the request that performed the warm-up (`warmed == true`)
+    /// this is `|L|`, since the warm pass over all of `L` answered the
+    /// request.
     pub evaluated: usize,
-    /// Candidates skipped by the index-time sketch prefilter (warm-pass
-    /// counts when `warmed == true`, as above).
-    pub pruned: usize,
     /// Whether this request performed the predicate warm-up.
     pub warmed: bool,
     /// View epoch this answer reflects (bumped once per published
@@ -418,10 +414,8 @@ pub struct ShardAnswer {
     /// restricted to `candidates` when given). The merger unions these
     /// across shards for every rule that clears η *globally*.
     pub q_members: Vec<Vec<NodeId>>,
-    /// Owned candidates evaluated / sketch-pruned in the ledger.
+    /// Owned candidates evaluated in the ledger.
     pub evaluated: usize,
-    /// See `evaluated`.
-    pub pruned: usize,
     /// Whether this query performed the shard's predicate warm-up.
     pub warmed: bool,
     /// View epoch of the snapshot this surface reflects.
@@ -599,15 +593,11 @@ pub struct UpdateReport {
 /// updates can subtract its exact contribution before re-evaluating.
 #[derive(Debug, Clone)]
 struct CenterRecord {
-    /// LCWA class on the *global* graph (counts supp_q / supp_q̄ even for
-    /// sketch-pruned centers).
+    /// LCWA class on the *global* graph (counts supp_q / supp_q̄).
     class: LcwaClass,
-    /// Whether the index-level sketch prefilter skipped evaluation
-    /// (memberships are then vacuously all-false).
-    pruned: bool,
-    /// Per rule: `v_x ∈ Q(x, G_d(v_x))`. Empty iff `pruned`.
+    /// Per rule: `v_x ∈ Q(x, G_d(v_x))`.
     q_member: Vec<bool>,
-    /// Per rule: `v_x ∈ P_R(x, G_d(v_x))`. Empty iff `pruned`.
+    /// Per rule: `v_x ∈ P_R(x, G_d(v_x))`.
     pr_member: Vec<bool>,
 }
 
@@ -632,9 +622,6 @@ struct PredicateState {
     active: Vec<bool>,
     /// The full answer implied by the current state (sorted).
     warm_customers: Vec<NodeId>,
-    /// Centers evaluated / sketch-pruned (current ledger tallies).
-    warm_evaluated: usize,
-    warm_pruned: usize,
     /// The view epoch this ledger reflects (stamped at warm-up and at
     /// each update's ledger patch); stale-bounded answers report it.
     epoch: u64,
@@ -651,19 +638,12 @@ impl PredicateState {
             conf: Vec::new(),
             active: Vec::new(),
             warm_customers: Vec::new(),
-            warm_evaluated: 0,
-            warm_pruned: 0,
             epoch: 0,
         }
     }
 
     /// Adds `rec`'s contribution to the counters and stores it.
     fn add_record(&mut self, c: NodeId, rec: CenterRecord) {
-        if rec.pruned {
-            self.warm_pruned += 1;
-        } else {
-            self.warm_evaluated += 1;
-        }
         match rec.class {
             LcwaClass::Positive => self.supp_q += 1,
             LcwaClass::Negative => self.supp_qbar += 1,
@@ -687,11 +667,6 @@ impl PredicateState {
     /// Removes `c`'s record, subtracting its exact contribution.
     fn remove_record(&mut self, c: NodeId) {
         let Some(rec) = self.outcomes.remove(c) else { return };
-        if rec.pruned {
-            self.warm_pruned -= 1;
-        } else {
-            self.warm_evaluated -= 1;
-        }
         match rec.class {
             LcwaClass::Positive => self.supp_q -= 1,
             LcwaClass::Negative => self.supp_qbar -= 1,
@@ -863,6 +838,9 @@ struct Shared {
 }
 
 impl Shared {
+    /// The d-ball of `center` at radius `d`, through the snapshot's LRU:
+    /// the read path of the non-warming `identify` loop, the cache's only
+    /// caller.
     fn site(
         &self,
         view: &EngineView,
@@ -950,36 +928,25 @@ impl Shared {
         .with_scratch(caches.scratch.clone())
     }
 
-    /// Classifies + (unless sketch-pruned) evaluates center `c` of
-    /// `group` (`sketch` is its entry in `group.centers`), producing its
-    /// ledger record.
+    /// Classifies + evaluates center `c` of `group`, producing its ledger
+    /// record. Warm-up and write repair visit each center once per
+    /// generation, so the d-ball is extracted on the worker's scratch and
+    /// bypasses the LRU, which only reads fill.
     fn evaluate_center(
-        &self,
         view: &EngineView,
         group: &PredicateGroup,
         ev: &CandidateEvaluator<'_>,
         c: NodeId,
-        sketch: &Sketch,
         caches: &mut WorkerCaches,
     ) -> CenterRecord {
-        // LCWA class is rule-independent and must count *every*
-        // candidate, including sketch-pruned ones.
         let class = classify(&view.graph, &group.predicate, c)
             .expect("centers satisfy x's condition by construction");
-        if !group.may_match(sketch) {
-            return CenterRecord {
-                class,
-                pruned: true,
-                q_member: Vec::new(),
-                pr_member: Vec::new(),
-            };
-        }
-        let shard = caches.shard;
-        let site =
-            caches.scratch.with_neighborhood(|nbr| self.site(view, c, group.sigma.d, shard, nbr));
+        let site = caches
+            .scratch
+            .with_neighborhood(|nbr| CenterSite::build_with(&view.graph, c, group.sigma.d, nbr));
         let o = ev.evaluate(&site);
         debug_assert_eq!(o.class, class, "site and global LCWA must agree");
-        CenterRecord { class, pruned: false, q_member: o.q_member, pr_member: o.pr_member }
+        CenterRecord { class, q_member: o.q_member, pr_member: o.pr_member }
     }
 
     /// Returns the warmed state for `group`, performing the full-candidate
@@ -1018,7 +985,7 @@ impl Shared {
     fn warm(&self, view: &EngineView, group: &PredicateGroup) -> PredicateState {
         let workers = self.cfg.workers.max(1);
         // Chunks are runs of whole center pages, balanced by occupancy.
-        let pages: Vec<&[(NodeId, Sketch)]> = group.centers.pages().collect();
+        let pages: Vec<&[(NodeId, ())]> = group.centers.pages().collect();
         let loads: Vec<u64> = pages.iter().map(|p| p.len() as u64).collect();
         let chunks = chunk_by_load(&loads, workers * WARM_CHUNKS_PER_WORKER);
         let exec = Executor::new(workers).with_obs(self.obs.clone());
@@ -1029,9 +996,8 @@ impl Shared {
                 let ev = self.evaluator(group, caches);
                 let mut part = WarmPart { records: Vec::new() };
                 for page in &pages[chunks[ci].clone()] {
-                    for (c, sketch) in *page {
-                        let rec = self.evaluate_center(view, group, &ev, *c, sketch, caches);
-                        part.records.push((*c, rec));
+                    for &(c, ()) in *page {
+                        part.records.push((c, Self::evaluate_center(view, group, &ev, c, caches)));
                     }
                 }
                 self.drain_worker_counters(caches);
@@ -1046,8 +1012,7 @@ impl Shared {
             }
         }
         state.finalize(self.cfg.eta);
-        self.obs.add(0, Counter::CentersEvaluated, state.warm_evaluated as u64);
-        self.obs.add(0, Counter::CentersSketchPruned, state.warm_pruned as u64);
+        self.obs.add(0, Counter::CentersEvaluated, state.outcomes.len() as u64);
         state
     }
 
@@ -1117,8 +1082,7 @@ impl Shared {
             };
             return Ok(IdentifyResponse {
                 customers,
-                evaluated: state.warm_evaluated,
-                pruned: state.warm_pruned,
+                evaluated: state.outcomes.len(),
                 warmed: true,
                 epoch,
                 stale,
@@ -1126,9 +1090,9 @@ impl Shared {
         }
         let ev = self.evaluator(group, caches);
 
-        // The requested centers with their sketches, in id order.
-        let centers: Vec<(NodeId, &Sketch)> = match &req.candidates {
-            None => group.centers.iter().collect(),
+        // The requested centers, in id order.
+        let centers: Vec<NodeId> = match &req.candidates {
+            None => group.centers.iter().map(|(c, _)| c).collect(),
             Some(cands) => {
                 // Intersect with L; ids outside L are not candidates (no
                 // x-condition match) and are silently excluded, exactly as
@@ -1136,26 +1100,17 @@ impl Shared {
                 let mut cs: Vec<NodeId> = cands.clone();
                 cs.sort_unstable();
                 cs.dedup();
-                cs.into_iter().filter_map(|c| Some((c, group.centers.get(c)?))).collect()
+                cs.retain(|&c| group.centers.contains(c));
+                cs
             }
         };
 
         let mut customers = Vec::new();
-        let mut evaluated = 0usize;
-        let mut pruned = 0usize;
-        for (c, sketch) in centers {
+        let evaluated = centers.len();
+        for c in centers {
             // Per-candidate cancellation point: a request whose budget
             // ran out mid-scan stops computing a dead answer here.
             Deadline::check(dl)?;
-            let may_match = {
-                let _s = Span::enter(tb, Stage::CandidatePrune);
-                group.may_match(sketch)
-            };
-            if !may_match {
-                pruned += 1;
-                continue;
-            }
-            evaluated += 1;
             let site = {
                 let _s = Span::enter(tb, Stage::CacheLookup);
                 caches
@@ -1172,9 +1127,8 @@ impl Shared {
             }
         }
         self.obs.add(shard, Counter::CentersEvaluated, evaluated as u64);
-        self.obs.add(shard, Counter::CentersSketchPruned, pruned as u64);
         customers.sort_unstable();
-        Ok(IdentifyResponse { customers, evaluated, pruned, warmed, epoch, stale })
+        Ok(IdentifyResponse { customers, evaluated, warmed, epoch, stale })
     }
 
     /// `top_rules` supports deadlines but ignores staleness bounds: it
@@ -1279,8 +1233,7 @@ impl Shared {
             supp_q: state.supp_q,
             supp_qbar: state.supp_qbar,
             q_members,
-            evaluated: state.warm_evaluated,
-            pruned: state.warm_pruned,
+            evaluated: state.outcomes.len(),
             warmed,
             epoch: view.epoch,
             stale,
@@ -1632,7 +1585,7 @@ impl Shared {
                         }
                     }
                     for &c in &added {
-                        if group.add_center(&graph, c) {
+                        if group.add_center(c) {
                             report.added_centers += 1;
                         }
                     }
@@ -1681,7 +1634,6 @@ impl Shared {
                     &graph,
                     &self.catalog,
                     &pred,
-                    self.cfg.sketch_k,
                     self.cfg.d,
                     &self.opts(),
                     &node_hist,
@@ -1704,9 +1656,9 @@ impl Shared {
             }
         }
 
-        // 3. Sketch refresh + the per-group re-evaluation sets: every
-        // surviving center inside the union ball — its d-ball (hence
-        // sketch, memberships, class) may have changed.
+        // 3. The per-group re-evaluation sets: every surviving center
+        // inside the union ball — its d-ball (hence memberships, class)
+        // may have changed.
         let mut repairs: Vec<(Predicate, Vec<NodeId>, Vec<NodeId>)> = Vec::new();
         {
             let _s = Span::enter(tb, Stage::UpdateGroupRepair);
@@ -1716,7 +1668,7 @@ impl Shared {
                     continue;
                 }
                 let group = index.group(&pred).expect("group listed above");
-                // In id order, so the repair unshares each page once.
+                // In id order, so the ledger patch unshares each page once.
                 let mut reeval: Vec<NodeId> = dist
                     .iter()
                     .filter(|&(_, &dd)| dd <= group.sigma.d.max(1))
@@ -1724,7 +1676,6 @@ impl Shared {
                     .filter(|&c| group.centers.contains(c))
                     .collect();
                 reeval.sort_unstable();
-                index.refresh_sketches(&pred, &graph, &reeval);
                 let removed = removed_by_pred.remove(&pred).unwrap_or_default();
                 if !removed.is_empty() || !reeval.is_empty() {
                     repairs.push((pred, removed, reeval));
@@ -1770,9 +1721,7 @@ impl Shared {
             }
             for &c in &reeval {
                 state.remove_record(c);
-                let sketch = group.centers.get(c).expect("reeval centers are candidates");
-                let rec = self.evaluate_center(&next, group, &ev, c, sketch, &mut caches);
-                state.add_record(c, rec);
+                state.add_record(c, Self::evaluate_center(&next, group, &ev, c, &mut caches));
                 report.reevaluated += 1;
             }
             if state.recompute_rule_surface(self.cfg.eta) {
@@ -2028,7 +1977,6 @@ impl ServeEngine {
         let mut index = CandidateIndex::build(
             &*graph,
             catalog,
-            cfg.sketch_k,
             cfg.d,
             &MatchOpts::for_algorithm(cfg.algorithm),
         );
@@ -2544,7 +2492,6 @@ fn worker_loop(shared: Arc<Shared>, jobs: Arc<Injector<Job>>, shard: usize) {
                 let _ = reply.send(Ok(IdentifyResponse {
                     customers: vec![],
                     evaluated: 0,
-                    pruned: 0,
                     warmed: false,
                     epoch: 0,
                     stale: false,
@@ -2680,7 +2627,8 @@ mod tests {
         );
         // Customers sit at even ids in the scenario graph (cust, rest pairs).
         let hot = vec![NodeId(0), NodeId(2), NodeId(6)];
-        engine.identify(pred, Some(hot.clone())).unwrap(); // warms + fills
+        engine.identify(pred, Some(hot.clone())).unwrap(); // warms
+        engine.identify(pred, Some(hot.clone())).unwrap(); // fills
         let before = engine.stats().cache;
         for _ in 0..5 {
             engine.identify(pred, Some(hot.clone())).unwrap();
@@ -2688,6 +2636,52 @@ mod tests {
         let after = engine.stats().cache;
         assert_eq!(after.hits - before.hits, 15, "3 hot centers × 5 queries");
         assert_eq!(after.misses, before.misses, "no re-extraction of hot centers");
+    }
+
+    /// The d-ball LRU is a read-path cache: the warm-up and a write's
+    /// repair evaluate their centers without inserting a ball; only a
+    /// non-warming `identify` fills it.
+    #[test]
+    fn only_non_warming_reads_fill_the_ball_cache() {
+        let (g, cat, pred) = scenario();
+        let visit = g.vocab().get("visit").unwrap();
+        let engine = ServeEngine::new(g, &cat, ServeConfig { eta: 0.5, ..Default::default() });
+        let keys = |engine: &ServeEngine| {
+            let view = engine.shared.view.load_full();
+            let mut keys: Vec<(NodeId, u32)> = view.cache.lock().keys().copied().collect();
+            keys.sort_unstable();
+            keys
+        };
+        let inserted = |engine: &ServeEngine| engine.metrics().counter(Counter::CacheInserted);
+        let l = engine.shared.view.load_full().index.group(&pred).unwrap().centers.len();
+
+        let warm = engine.identify(pred, None).unwrap();
+        assert!(warm.warmed);
+        assert_eq!(warm.evaluated, l, "the warming answer evaluated all of L");
+        assert!(keys(&engine).is_empty(), "warm-up caches no ball");
+        assert_eq!(inserted(&engine), 0);
+
+        let read = engine.identify(pred, None).unwrap();
+        assert!(!read.warmed);
+        assert_eq!(read.customers, warm.customers);
+        assert_eq!(keys(&engine).len(), l, "a non-warming read caches every center's ball");
+
+        // cust 28 gains a visit edge: its ball is evicted and its record
+        // re-evaluated, but the repair caches nothing in its place.
+        let (cached, inserted_before) = (keys(&engine), inserted(&engine));
+        let report = engine
+            .apply_update(&GraphUpdate {
+                new_edges: vec![(NodeId(28), NodeId(29), visit)],
+                ..Default::default()
+            })
+            .unwrap();
+        assert_eq!(report.reevaluated, 1);
+        assert!(!report.evicted.is_empty());
+        let mut expect = cached;
+        expect.retain(|k| !report.evicted.contains(k));
+        assert_eq!(keys(&engine), expect, "the repair adds no key to the successor's cache");
+        assert_eq!(inserted(&engine), inserted_before);
+        assert_matches_fresh_rebuild(&engine, &cat, pred);
     }
 
     #[test]
@@ -3115,6 +3109,7 @@ mod tests {
         );
         let before = engine.identify(pred, None).unwrap().customers;
         assert_eq!(before, vec![c0], "c0 matches the 2-hop antecedent and visits");
+        engine.identify(pred, None).unwrap(); // a non-warming read caches every ball
 
         let report = engine
             .apply_update(&GraphUpdate { del_edges: vec![(c0, c1, friend)], ..Default::default() })
@@ -3284,13 +3279,12 @@ mod tests {
         assert_eq!(report.reevaluated, 1);
         let next = engine.shared.view.load_full();
         assert_eq!(next.epoch, pinned.epoch + 1);
-        for (what, (shared, total)) in
-            ["index", "ledger"].into_iter().zip(shared_with(&next, &pinned, &pred))
-        {
-            assert!(total >= 300, "{what}: 10k centers span hundreds of pages, got {total}");
-            assert!(shared * 100 >= total * 95, "{what}: only {shared} of {total} pages shared");
-            assert!(shared < total, "{what}: the touched center's page must be a private copy");
-        }
+        let [index, ledger] = shared_with(&next, &pinned, &pred);
+        assert!(index.1 >= 300, "10k centers span hundreds of pages, got {}", index.1);
+        assert_eq!(index.0, index.1, "an edge batch leaves the center set, and every page, shared");
+        let (shared, total) = ledger;
+        assert!(shared * 100 >= total * 95, "ledger: only {shared} of {total} pages shared");
+        assert!(shared < total, "ledger: the touched center's page must be a private copy");
         let class_in =
             |view: &EngineView| view.states.lock()[&pred].outcomes.get(target).unwrap().class;
         assert_eq!(class_in(&pinned), LcwaClass::Unknown, "the pinned generation is frozen");
@@ -3385,7 +3379,8 @@ mod tests {
             &cat,
             ServeConfig { eta: 0.5, cache_capacity: 1024, ..Default::default() },
         );
-        engine.identify(pred, None).unwrap(); // warm: fills the cache with all evaluated sites
+        engine.identify(pred, None).unwrap(); // warm
+        engine.identify(pred, None).unwrap(); // a non-warming read caches every ball
         let cached_before = {
             let view = engine.shared.view.load_full();
             let n = view.cache.lock().len();
@@ -3429,7 +3424,8 @@ mod tests {
             &cat,
             ServeConfig { eta: 0.5, cache_capacity: 1024, workers: 2, ..Default::default() },
         ));
-        engine.identify(pred, None).unwrap(); // warm: caches every center's ball
+        engine.identify(pred, None).unwrap(); // warm
+        engine.identify(pred, Some(vec![NodeId(28)])).unwrap(); // caches (28, d)
         let writer = {
             let engine = engine.clone();
             std::thread::spawn(move || {
@@ -3468,11 +3464,11 @@ mod tests {
     }
 
     /// The acceptance criterion for per-query tracing: a cache-miss
-    /// identify query's trace attributes time to all five pipeline stages
-    /// (queue wait → cache lookup → candidate pruning → iso eval → ledger
-    /// read), each with a non-zero duration, summing to at most the root.
+    /// identify query's trace attributes time to all four pipeline stages
+    /// (queue wait → cache lookup → iso eval → ledger read), each with a
+    /// non-zero duration, summing to at most the root.
     #[test]
-    fn cache_miss_identify_trace_has_all_five_stages() {
+    fn cache_miss_identify_trace_has_all_four_stages() {
         if cfg!(feature = "obs-off") {
             return; // timing compiles out; traces are dropped
         }
@@ -3492,13 +3488,7 @@ mod tests {
         assert!(!warm_trace.stage(Stage::Warmup).is_zero(), "first query carries the warm-up");
         let t = &traces[1];
         assert_eq!(t.kind, TraceKind::Identify);
-        for stage in [
-            Stage::QueueWait,
-            Stage::CacheLookup,
-            Stage::CandidatePrune,
-            Stage::IsoEval,
-            Stage::LedgerRead,
-        ] {
+        for stage in [Stage::QueueWait, Stage::CacheLookup, Stage::IsoEval, Stage::LedgerRead] {
             assert!(!t.stage(stage).is_zero(), "stage {} has no recorded time", stage.name());
         }
         assert!(t.stages_total() <= t.total, "stages are disjoint slices of the root");

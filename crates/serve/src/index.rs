@@ -10,10 +10,9 @@
 //!   simply does not contain matches nowhere, so queries never touch it;
 //! * a pre-built [`SharingPlan`] (the `|Σ|²` subsumption tests are paid
 //!   once per catalog version, not per request);
-//! * the candidate centers `L` (nodes satisfying `x`'s condition) with,
-//!   optionally, pre-computed k-hop [`Sketch`]es so candidates that cannot
-//!   cover *any* antecedent's demand at `x` are pruned without search
-//!   (§5.2's guidance, hoisted from per-query to index-build time);
+//! * the candidate centers `L` (nodes satisfying `x`'s condition);
+//! * the antecedents' k-hop [`Sketch`]es that guide `Match`'s search
+//!   inside each candidate's d-ball (§5.2), built once per group;
 //! * the evaluation radius `d` (max rule radius, as EIP derives it).
 //!
 //! The rule-derived half sits behind one `Arc` ([`GroupRules`]) and the
@@ -25,7 +24,7 @@ use crate::paged::PagedMap;
 use gpar_core::{Gpar, Predicate};
 use gpar_eip::{antecedent_sketches, derive_radius, MatchOpts, SharingPlan};
 use gpar_graph::{FxHashMap, GraphView, Label, NodeId, Sketch};
-use gpar_pattern::{pattern_sketch, NodeCond, Pattern};
+use gpar_pattern::{NodeCond, Pattern};
 use rustc_hash::FxHashMap as Map;
 use std::sync::Arc;
 
@@ -96,17 +95,9 @@ pub struct GroupRules {
     /// Evaluation radius: `max(r(P_R, x), r(Q, x))` over the active rules
     /// (exactly EIP's derivation).
     pub d: u32,
-    /// Per active rule: the antecedent's sketch at `x`, capped at depth
-    /// `d` (for the index-level candidate prefilter).
-    pub q_sketches: Arc<Vec<Sketch>>,
     /// Per active rule: the antecedent sketches the *evaluator* uses
-    /// (depth from the engine's `MatchOpts`; shares the allocation with
-    /// [`GroupRules::q_sketches`] when the depths coincide).
+    /// (depth from the engine's `MatchOpts`).
     pub eval_sketches: Arc<Vec<Sketch>>,
-    /// Effective center-sketch depth (`min(cfg.sketch_k, d)`, 0 = sketch
-    /// pruning off), kept so incremental maintenance rebuilds sketches at
-    /// the same depth.
-    pub sketch_k: u32,
 }
 
 /// Everything precomputed for one consequent predicate.
@@ -116,28 +107,17 @@ pub struct PredicateGroup {
     pub predicate: Predicate,
     /// The active rules and what is derived from them.
     pub sigma: Arc<GroupRules>,
-    /// Candidate centers `L` (nodes satisfying `x`'s condition), each with
-    /// its k-hop sketch (depth [`GroupRules::sketch_k`]; a depth-0 sketch
-    /// allocates nothing). Paged by id range, so a successor generation
-    /// shares every page an update did not touch.
-    pub centers: PagedMap<Sketch>,
+    /// Candidate centers `L` (nodes satisfying `x`'s condition). Paged by
+    /// id range, so a successor generation shares every page an update
+    /// did not touch.
+    pub centers: PagedMap<()>,
 }
 
 impl PredicateGroup {
-    /// Whether a center with this sketch can possibly match *some* active
-    /// antecedent (sound: `false` ⇒ member of no `Q(x, G)`).
-    pub fn may_match(&self, sketch: &Sketch) -> bool {
-        self.sigma.sketch_k == 0 || self.sigma.q_sketches.iter().any(|q| sketch.covers(q))
-    }
-
     /// Admits `c` as a candidate center (no-op if already present).
     /// Returns whether the center was new.
-    pub fn add_center<G: GraphView + ?Sized>(&mut self, g: &G, c: NodeId) -> bool {
-        if self.centers.contains(c) {
-            return false;
-        }
-        self.centers.insert(c, Sketch::build(g, c, self.sigma.sketch_k));
-        true
+    pub fn add_center(&mut self, c: NodeId) -> bool {
+        self.centers.insert(c, ()).is_none()
     }
 
     /// Retires `c` as a candidate center (after a relabel away from `x`'s
@@ -182,15 +162,12 @@ pub struct CandidateIndex {
 impl CandidateIndex {
     /// Builds the index for `graph` over every predicate of `catalog`.
     ///
-    /// `sketch_k` enables candidate sketch pruning with that depth
-    /// (`0` disables it — build time drops, per-query work rises);
     /// `d_override` pins the evaluation radius instead of deriving it;
     /// `eval_opts` is the engine's per-candidate matching configuration,
     /// used to pre-build the evaluator-side antecedent sketches.
     pub fn build<G: GraphView + ?Sized>(
         graph: &G,
         catalog: &RuleCatalog,
-        sketch_k: u32,
         d_override: Option<u32>,
         eval_opts: &MatchOpts,
     ) -> Self {
@@ -198,9 +175,7 @@ impl CandidateIndex {
         let edge_hist = graph.edge_histogram();
         let mut idx = Self::default();
         for pred in catalog.predicates() {
-            match build_group(
-                graph, catalog, pred, sketch_k, d_override, eval_opts, &node_hist, &edge_hist,
-            ) {
+            match build_group(graph, catalog, pred, d_override, eval_opts, &node_hist, &edge_hist) {
                 Some(g) => {
                     idx.groups.insert(*pred, Arc::new(g));
                 }
@@ -221,28 +196,6 @@ impl CandidateIndex {
     /// pages stay shared until edited.
     pub fn group_mut(&mut self, pred: &Predicate) -> Option<&mut PredicateGroup> {
         self.groups.get_mut(pred).map(Arc::make_mut)
-    }
-
-    /// Recomputes the stored sketches of `centers` (the candidates of
-    /// `pred` inside an update's invalidation ball) against the current
-    /// graph. Unshares nothing when there is nothing to recompute: no
-    /// centers, or sketch pruning off (depth-0 sketches are all alike).
-    pub fn refresh_sketches<G: GraphView + ?Sized>(
-        &mut self,
-        pred: &Predicate,
-        g: &G,
-        centers: &[NodeId],
-    ) {
-        let Some(k) = self.group(pred).map(|grp| grp.sigma.sketch_k) else { return };
-        if k == 0 || centers.is_empty() {
-            return;
-        }
-        let group = self.group_mut(pred).expect("probed above");
-        for &c in centers {
-            if let Some(sketch) = group.centers.get_mut(c) {
-                *sketch = Sketch::build(g, c, k);
-            }
-        }
     }
 
     /// Number of predicate groups.
@@ -294,7 +247,6 @@ impl CandidateIndex {
         graph: &G,
         catalog: &RuleCatalog,
         pred: &Predicate,
-        sketch_k: u32,
         d_override: Option<u32>,
         eval_opts: &MatchOpts,
         node_hist: &FxHashMap<Label, u64>,
@@ -302,9 +254,8 @@ impl CandidateIndex {
     ) -> bool {
         let before: Option<Vec<usize>> =
             self.groups.get(pred).map(|g| g.sigma.entry_indices.clone());
-        let rebuilt = build_group(
-            graph, catalog, pred, sketch_k, d_override, eval_opts, node_hist, edge_hist,
-        );
+        let rebuilt =
+            build_group(graph, catalog, pred, d_override, eval_opts, node_hist, edge_hist);
         let after: Option<Vec<usize>> = rebuilt.as_ref().map(|g| g.sigma.entry_indices.clone());
         if before == after {
             return false; // activation unchanged; keep the maintained group
@@ -325,12 +276,10 @@ impl CandidateIndex {
 }
 
 /// Builds one predicate's group, or `None` when no rule is satisfiable.
-#[allow(clippy::too_many_arguments)]
 fn build_group<G: GraphView + ?Sized>(
     graph: &G,
     catalog: &RuleCatalog,
     pred: &Predicate,
-    sketch_k: u32,
     d_override: Option<u32>,
     eval_opts: &MatchOpts,
     node_hist: &FxHashMap<Label, u64>,
@@ -356,30 +305,11 @@ fn build_group<G: GraphView + ?Sized>(
     }
     let plan = SharingPlan::build(&rules);
     let d = d_override.unwrap_or_else(|| derive_radius(&rules));
-    let centers: Vec<NodeId> = match pred.x_cond {
-        NodeCond::Label(l) => graph.label_members(l),
-        NodeCond::Any => graph.nodes().collect(),
+    let centers = match pred.x_cond {
+        NodeCond::Label(l) => graph.label_members(l).into_iter().map(|c| (c, ())).collect(),
+        NodeCond::Any => graph.nodes().map(|c| (c, ())).collect(),
     };
     let eval_sketches = antecedent_sketches(&rules, eval_opts);
-    // Index-side sketch depth must not exceed the evaluation
-    // radius: center sketches are built on the full graph, site
-    // evaluation sees the d-ball, and the two agree exactly on
-    // the first min(k, d) hops.
-    let k = sketch_k.min(d);
-    let q_sketches = if k == 0 {
-        Arc::new(Vec::new())
-    } else if eval_sketches.first().map_or(0, |s| s.depth() as u32) == k {
-        // Same depth: the prefilter shares the evaluator's set.
-        eval_sketches.clone()
-    } else {
-        Arc::new(
-            rules
-                .iter()
-                .map(|r| pattern_sketch(r.antecedent(), r.antecedent().x(), k))
-                .collect::<Vec<Sketch>>(),
-        )
-    };
-    let centers = centers.into_iter().map(|c| (c, Sketch::build(graph, c, k))).collect();
     Some(PredicateGroup {
         predicate: *pred,
         sigma: Arc::new(GroupRules {
@@ -389,9 +319,7 @@ fn build_group<G: GraphView + ?Sized>(
             inactive_rules: inactive,
             plan,
             d,
-            q_sketches,
             eval_sketches,
-            sketch_k: k,
         }),
         centers,
     })
@@ -442,7 +370,7 @@ mod tests {
     #[test]
     fn signature_pruning_deactivates_unsatisfiable_rules() {
         let (g, cat, pred) = setup();
-        let idx = CandidateIndex::build(&g, &cat, 2, None, &test_opts());
+        let idx = CandidateIndex::build(&g, &cat, None, &test_opts());
         let grp = idx.group(&pred).expect("group exists");
         assert_eq!(grp.sigma.rules.len(), 1, "ghost rule must be inactive");
         assert_eq!(grp.sigma.inactive_rules, 1);
@@ -452,35 +380,20 @@ mod tests {
     #[test]
     fn centers_are_the_x_condition_matches() {
         let (g, cat, pred) = setup();
-        let idx = CandidateIndex::build(&g, &cat, 0, None, &test_opts());
+        let idx = CandidateIndex::build(&g, &cat, None, &test_opts());
         let grp = idx.group(&pred).unwrap();
         assert_eq!(grp.centers.len(), 4, "four cust nodes");
-        for (c, sketch) in grp.centers.iter() {
-            assert_eq!(sketch.depth(), 0, "k = 0 disables sketches");
-            assert!(grp.may_match(sketch), "no sketches ⇒ center {c} not pruned");
-        }
+        let cust = g.vocab().get("cust").unwrap();
+        assert!(grp.centers.iter().all(|(c, _)| g.node_label(c) == cust));
         assert!(grp.centers.iter().map(|(c, _)| c).is_sorted(), "centers iterate in id order");
-    }
-
-    #[test]
-    fn sketch_pruning_is_sound_on_matching_centers() {
-        let (g, cat, pred) = setup();
-        let idx = CandidateIndex::build(&g, &cat, 2, None, &test_opts());
-        let grp = idx.group(&pred).unwrap();
-        assert_eq!(grp.centers.len(), 4);
-        // Every cust here has a like-edge to a rest: none may be pruned.
-        for (c, sketch) in grp.centers.iter() {
-            assert_eq!(sketch.depth(), 1, "depth is min(sketch_k, d)");
-            assert!(grp.may_match(sketch), "center {c} wrongly pruned");
-        }
     }
 
     #[test]
     fn derived_radius_covers_antecedent_and_rule() {
         let (g, cat, pred) = setup();
-        let idx = CandidateIndex::build(&g, &cat, 2, None, &test_opts());
+        let idx = CandidateIndex::build(&g, &cat, None, &test_opts());
         assert_eq!(idx.group(&pred).unwrap().sigma.d, 1);
-        let idx = CandidateIndex::build(&g, &cat, 2, Some(3), &test_opts());
+        let idx = CandidateIndex::build(&g, &cat, Some(3), &test_opts());
         assert_eq!(idx.group(&pred).unwrap().sigma.d, 3);
     }
 }

@@ -16,15 +16,15 @@
 //!   graph.
 //! * [`CandidateIndex`] — per consequent predicate: the rule group with
 //!   unsatisfiable rules deactivated (antecedent **label signature**
-//!   check), a pre-built [`gpar_eip::SharingPlan`], the candidate centers
-//!   `L`, and optional k-hop sketches so candidates that cannot cover any
-//!   antecedent's demand at `x` are pruned without search.
+//!   check), a pre-built [`gpar_eip::SharingPlan`], the antecedent
+//!   sketches that guide `Match`'s per-candidate search, and the candidate
+//!   centers `L`.
 //! * [`ServeEngine`] — a fixed worker pool servicing
 //!   [`identify`](ServeEngine::identify) /
 //!   [`top_rules`](ServeEngine::top_rules) requests concurrently over
 //!   **lock-free snapshots**: the whole serving view (graph overlay,
 //!   candidate index, histograms, warm ledgers, the LRU cache of
-//!   per-center d-ball extractions) is one immutable epoch-stamped
+//!   per-center d-ball extractions that reads fill) is one immutable epoch-stamped
 //!   generation behind an atomic pointer. Readers load it with a single
 //!   atomic operation and never block — not on each other and not on
 //!   writers. **Live updates** ([`ServeEngine::apply_update`], a

@@ -1,6 +1,6 @@
 //! A small persistent sorted map keyed by node id: the container behind
 //! the per-center state of a snapshot generation (the candidate index's
-//! center → sketch column, the warm ledger's center → record table).
+//! center set, the warm ledger's center → record table).
 //!
 //! The id space is cut into fixed ranges of `2^PAGE_BITS` ids; page `p`
 //! owns the entries with `id >> PAGE_BITS == p` as one sorted

@@ -459,7 +459,7 @@ fn merge_identify(answers: &[ShardAnswer], eta: f64) -> IdentifyResponse {
     let stats = merge_stats(answers);
     let active: Vec<bool> = stats.iter().map(|s| s.conf().at_least(eta)).collect();
     let mut customers: Vec<NodeId> = Vec::new();
-    let (mut evaluated, mut pruned) = (0usize, 0usize);
+    let mut evaluated = 0usize;
     let (mut warmed, mut stale) = (false, false);
     let mut epoch = u64::MAX;
     for a in answers {
@@ -469,7 +469,6 @@ fn merge_identify(answers: &[ShardAnswer], eta: f64) -> IdentifyResponse {
             }
         }
         evaluated += a.evaluated;
-        pruned += a.pruned;
         warmed |= a.warmed;
         stale |= a.stale;
         epoch = epoch.min(a.epoch);
@@ -478,7 +477,7 @@ fn merge_identify(answers: &[ShardAnswer], eta: f64) -> IdentifyResponse {
     // shard), so the union needs a dedup even though shards are disjoint.
     customers.sort_unstable();
     customers.dedup();
-    IdentifyResponse { customers, evaluated, pruned, warmed, epoch, stale }
+    IdentifyResponse { customers, evaluated, warmed, epoch, stale }
 }
 
 /// Merges shard parts into the global top-k: exact global confidence

@@ -181,7 +181,13 @@ proptest! {
             &catalog,
             ServeConfig { workers: 2, eta: 0.5, d: Some(D), cache_capacity: 1 << 14, ..Default::default() },
         );
-        engine.identify(pred, None).expect("warm fills the d-ball cache");
+        engine.identify(pred, None).expect("warm");
+        engine.identify(pred, None).expect("a non-warming read fills the d-ball cache");
+        let cache = engine.stats().cache;
+        prop_assert!(
+            cache.inserted > cache.evictions + cache.invalidations,
+            "the cache must hold balls before the update, or tightness holds vacuously"
+        );
 
         let report = engine.apply_update(&update).expect("update is valid by construction");
         let (post, fwd) = materialize(&g, &update);
