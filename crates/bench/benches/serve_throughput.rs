@@ -1,15 +1,12 @@
 //! Serving-layer throughput: QPS of `ServeEngine::identify` as a function
-//! of worker-pool size, and the effect of the d-ball LRU cache on
-//! repeat-query latency.
+//! of worker-pool size.
 //!
 //! Reported numbers (printed per benchmark):
 //!
 //! * `serve/workers/{n}` — a 64-request mixed batch (subset queries over a
 //!   hot candidate set) served by an `n`-worker pool; the explicit
-//!   `QPS` line is batch-size / wall-clock.
-//! * `serve/cache/{capacity}` — the same hot workload with the cache
-//!   disabled (`0`) versus sized to the working set; the cached run must
-//!   show a lower per-query mean and a non-trivial hit rate.
+//!   `QPS` line is batch-size / wall-clock. Every request after the
+//!   warm-up is a ledger read.
 //!
 //! On a single-core host the worker sweep reports flat QPS — the pool
 //! overlaps requests, but wall-clock cannot beat one CPU (the same
@@ -36,8 +33,7 @@ fn setup() -> (Arc<gpar_graph::Graph>, RuleCatalog, gpar_core::Predicate) {
 }
 
 /// A deterministic mixed batch: every request asks about a small slice of
-/// a hot candidate set (so the d-ball cache can help), a few ask for the
-/// full candidate list.
+/// a hot candidate set, a few ask for the full candidate list.
 fn batch(pred: gpar_core::Predicate, hot: &[NodeId], size: usize) -> Vec<IdentifyRequest> {
     (0..size)
         .map(|i| IdentifyRequest {
@@ -87,58 +83,6 @@ fn bench_serve(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // --- repeat-query latency vs cache capacity -----------------------
-    let mut group = c.benchmark_group("serve/cache");
-    group.sample_size(10);
-    let mut means = Vec::new();
-    for capacity in [0usize, 4096] {
-        let engine = ServeEngine::new(
-            graph.clone(),
-            &catalog,
-            ServeConfig {
-                workers: 2,
-                eta: 0.5,
-                d: Some(2),
-                cache_capacity: capacity,
-                ..Default::default()
-            },
-        );
-        let reqs = batch(pred, &hot, 64);
-        engine.identify_batch(reqs.clone()); // warm-up + (maybe) cache fill
-        let t0 = Instant::now();
-        let rounds = 5;
-        for _ in 0..rounds {
-            engine.identify_batch(reqs.clone());
-        }
-        let per_query = t0.elapsed().as_secs_f64() / (rounds * reqs.len()) as f64;
-        means.push(per_query);
-        let cache = engine.stats().cache;
-        println!(
-            "serve/cache/{capacity}: {:.1} us/query, cache hit rate {:.0}% \
-             ({} hits / {} misses)",
-            per_query * 1e6,
-            cache.hit_rate() * 100.0,
-            cache.hits,
-            cache.misses
-        );
-        group.bench_function(BenchmarkId::from_parameter(capacity), |b| {
-            b.iter(|| engine.identify_batch(reqs.clone()).len())
-        });
-    }
-    group.finish();
-    // Report, don't assert: wall-clock comparisons flake on noisy shared
-    // runners; the hit-rate lines above are the deterministic signal.
-    if means[1] < means[0] {
-        println!("serve/cache: repeat-query speedup from d-ball LRU = {:.2}x", means[0] / means[1]);
-    } else {
-        println!(
-            "serve/cache: WARNING — cached run not faster (cached {:.1}us vs uncached {:.1}us); \
-             expected on a noisy host, investigate if persistent",
-            means[1] * 1e6,
-            means[0] * 1e6
-        );
-    }
 }
 
 criterion_group!(benches, bench_serve);

@@ -738,8 +738,6 @@ fn main() {
     json.push_str("  \"stages\": [\n");
     let stage_kinds = [
         HistKind::QueueWait,
-        HistKind::CacheLookup,
-        HistKind::IsoEval,
         HistKind::LedgerRead,
         HistKind::UpdateDiff,
         HistKind::UpdateCommit,

@@ -208,7 +208,8 @@ fn main() {
         println!("  {name:<44} {median_ns:>12} ns/op");
         scenarios.push(Scenario { name, median_ns, ops: 1 });
 
-        // Hot path: repeat queries against a warmed engine + d-ball cache.
+        // Hot path: repeat subset queries against a warmed engine, each
+        // one a ledger read.
         let engine = ServeEngine::new(
             graph.clone(),
             &catalog,

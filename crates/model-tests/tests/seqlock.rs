@@ -13,7 +13,7 @@ use gpar_obs::{Counter, MetricsRegistry};
 use std::sync::Arc;
 
 const UPDATES: usize = Counter::Updates as usize;
-const INVALIDATIONS: usize = Counter::CacheInvalidations as usize;
+const REEVALUATED: usize = Counter::UpdateReevaluated as usize;
 
 #[test]
 fn stable_read_never_sees_a_torn_txn() {
@@ -29,19 +29,19 @@ fn stable_read_never_sees_a_torn_txn() {
         {
             let txn = reg.write_txn();
             txn.incr(0, Counter::Updates);
-            txn.add(0, Counter::CacheInvalidations, 3);
+            txn.add(0, Counter::UpdateReevaluated, 3);
         }
 
         let seen = reader.join();
-        let (u, inv) = (seen[UPDATES], seen[INVALIDATIONS]);
+        let (u, re) = (seen[UPDATES], seen[REEVALUATED]);
         assert!(
-            (u, inv) == (0, 0) || (u, inv) == (1, 3),
-            "torn transaction observed: updates={u} invalidations={inv}"
+            (u, re) == (0, 0) || (u, re) == (1, 3),
+            "torn transaction observed: updates={u} reevaluated={re}"
         );
 
         // After the txn epoch settles, the full write is visible.
         let after = reg.counters_stable();
-        assert_eq!((after[UPDATES], after[INVALIDATIONS]), (1, 3));
+        assert_eq!((after[UPDATES], after[REEVALUATED]), (1, 3));
     });
     assert!(report.complete, "exploration exhausted the schedule space");
     assert!(report.executions > 1, "racy protocol must have more than one schedule");
@@ -57,18 +57,18 @@ fn back_to_back_txns_are_each_atomic() {
                 for _ in 0..2 {
                     let txn = reg.write_txn();
                     txn.incr(0, Counter::Updates);
-                    txn.add(0, Counter::CacheInvalidations, 3);
+                    txn.add(0, Counter::UpdateReevaluated, 3);
                 }
             })
         };
 
         let seen = reg.counters_stable();
-        let (u, inv) = (seen[UPDATES], seen[INVALIDATIONS]);
-        assert_eq!(inv, 3 * u, "reader caught a transaction half-applied: {u}/{inv}");
+        let (u, re) = (seen[UPDATES], seen[REEVALUATED]);
+        assert_eq!(re, 3 * u, "reader caught a transaction half-applied: {u}/{re}");
 
         writer.join();
         let after = reg.counters_stable();
-        assert_eq!((after[UPDATES], after[INVALIDATIONS]), (2, 6));
+        assert_eq!((after[UPDATES], after[REEVALUATED]), (2, 6));
     });
     assert!(report.complete);
     assert!(report.executions > 1);

@@ -28,7 +28,7 @@
 //! Building with `--features obs-off` compiles the *timing* half out:
 //! [`Ts`] becomes zero-sized with zero elapsed readings, histogram
 //! `record` and trace pushes become no-ops. **Counters and gauges stay
-//! live** — engine statistics (query/update/cache counts) are part of
+//! live** — engine statistics (query/warm-up/update counts) are part of
 //! the serving semantics, not optional telemetry. The CI `obs-overhead`
 //! leg builds the benchmark suite both ways and gates the enabled
 //! overhead.

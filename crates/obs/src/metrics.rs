@@ -14,14 +14,14 @@
 //! # Snapshot consistency (the seqlock epoch)
 //!
 //! Counters that must move **together** — an update's `updates += 1`
-//! and its cache `invalidations += k`, say — are bumped inside a
+//! and its `update_reevaluated += k`, say — are bumped inside a
 //! [`WriteTxn`] (`registry.write_txn()`), which holds the registry's
 //! epoch odd for the duration. [`MetricsRegistry::counters_stable`]
 //! retries until it reads the same even epoch on both sides of the
 //! counter sweep, so a snapshot can never observe half of a transaction:
 //! `EngineStats` taken mid-update shows either the whole update or none
-//! of it. Counters bumped outside any transaction (query counts, cache
-//! hits) are monotone and need no such grouping.
+//! of it. Counters bumped outside any transaction (query and warm-up
+//! counts) are monotone and need no such grouping.
 
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use crate::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -66,16 +66,6 @@ metric_enum! {
         /// Update batches accepted into the write pipeline — including
         /// batches whose window coalesced or deduplicated to nothing.
         Updates => "updates",
-        /// D-ball cache lookups that found the key.
-        CacheHits => "cache_hits",
-        /// D-ball cache lookups that missed.
-        CacheMisses => "cache_misses",
-        /// Cache entries evicted by capacity pressure.
-        CacheEvictions => "cache_evictions",
-        /// Cache entries removed by scoped invalidation or clear.
-        CacheInvalidations => "cache_invalidations",
-        /// Cache entries inserted (hit-rate + churn are derivable).
-        CacheInserted => "cache_inserted",
         /// Tasks executed by the work-stealing executor.
         ExecTasks => "exec_tasks",
         /// Tasks obtained by stealing from another worker's deque.
@@ -90,7 +80,8 @@ metric_enum! {
         BallsExtracted => "balls_extracted",
         /// Nodes visited across all d-ball BFS traversals.
         BallNodesVisited => "ball_nodes_visited",
-        /// Candidate centers evaluated (warm-up ledger + per-query reads).
+        /// Candidate centers evaluated by warm-up passes (reads answer
+        /// from the ledger and evaluate none).
         CentersEvaluated => "centers_evaluated",
         /// Centers re-evaluated during incremental update repair.
         UpdateReevaluated => "update_reevaluated",
@@ -131,10 +122,6 @@ metric_enum! {
         ShardQueryLatency => "shard_query_latency",
         /// Time between job submission and a worker picking it up.
         QueueWait => "queue_wait",
-        /// D-ball cache probe + (on miss) extraction time.
-        CacheLookup => "cache_lookup",
-        /// Isomorphism evaluation time over extracted sites.
-        IsoEval => "iso_eval",
         /// Warm-ledger read/membership time.
         LedgerRead => "ledger_read",
         /// Lazy warm-up pass duration.
@@ -540,10 +527,10 @@ mod tests {
         for shard in 0..8 {
             reg.incr(shard, Counter::Queries);
         }
-        reg.add(2, Counter::CacheHits, 5);
+        reg.add(2, Counter::Warmups, 5);
         let snap = reg.snapshot();
         assert_eq!(snap.counter(Counter::Queries), 8, "shard index wraps modulo count");
-        assert_eq!(snap.counter(Counter::CacheHits), 5);
+        assert_eq!(snap.counter(Counter::Warmups), 5);
         assert_eq!(snap.counter(Counter::Updates), 0);
     }
 
@@ -578,7 +565,7 @@ mod tests {
                 for i in 0..20_000u64 {
                     let txn = reg.write_txn();
                     txn.incr((i % 2) as usize, Counter::Updates);
-                    txn.add((i % 2) as usize, Counter::CacheInvalidations, 3);
+                    txn.add((i % 2) as usize, Counter::UpdateReevaluated, 3);
                     drop(txn);
                 }
                 stop.store(true, Ordering::Release);
@@ -589,9 +576,9 @@ mod tests {
         let mut observations = 0u64;
         while observations < 1_000 || !stop.load(Ordering::Acquire) {
             let sums = reg.counters_stable();
-            let (u, inv) =
-                (sums[Counter::Updates as usize], sums[Counter::CacheInvalidations as usize]);
-            assert_eq!(inv, u * 3, "snapshot split a transaction: updates={u} invalidations={inv}");
+            let (u, re) =
+                (sums[Counter::Updates as usize], sums[Counter::UpdateReevaluated as usize]);
+            assert_eq!(re, u * 3, "snapshot split a transaction: updates={u} reevaluated={re}");
             observations += 1;
         }
         writer.join().unwrap();
@@ -617,11 +604,11 @@ mod tests {
         // all-or-nothing window.
         std::thread::sleep(Duration::from_millis(20));
         assert!(!reader.is_finished(), "reader must spin while the epoch is odd");
-        txn.add(0, Counter::CacheInvalidations, 3);
+        txn.add(0, Counter::UpdateReevaluated, 3);
         drop(txn);
         let sums = reader.join().unwrap();
         assert_eq!(sums[Counter::Updates as usize], 1);
-        assert_eq!(sums[Counter::CacheInvalidations as usize], 3, "txn must be seen whole");
+        assert_eq!(sums[Counter::UpdateReevaluated as usize], 3, "txn must be seen whole");
     }
 
     #[test]

@@ -136,13 +136,12 @@ macro_rules! metric_stage_enum {
 
 metric_stage_enum! {
     /// The stages a request's time is attributed to. Query stages map
-    /// onto the serving pipeline (queue wait → cache lookup → iso eval →
-    /// ledger read); update stages onto the incremental-maintenance
-    /// pipeline (diff → commit → BFS → group repair → ledger patch).
+    /// onto the serving pipeline (queue wait → ledger read, plus the
+    /// warm-up on a predicate's first read); update stages onto the
+    /// incremental-maintenance pipeline (diff → commit → BFS → group
+    /// repair → ledger patch).
     pub enum Stage {
         QueueWait => ("queue_wait", HistKind::QueueWait),
-        CacheLookup => ("cache_lookup", HistKind::CacheLookup),
-        IsoEval => ("iso_eval", HistKind::IsoEval),
         LedgerRead => ("ledger_read", HistKind::LedgerRead),
         Warmup => ("warmup", HistKind::Warmup),
         UpdateDiff => ("update_diff", HistKind::UpdateDiff),
@@ -352,11 +351,11 @@ mod tests {
         let mut tb = TraceBuilder::new(TraceKind::Identify);
         let t0 = Ts::now();
         {
-            let _s = tb.span(Stage::CacheLookup);
+            let _s = tb.span(Stage::UpdateDiff);
             std::thread::sleep(Duration::from_millis(2));
         }
         for _ in 0..2 {
-            let _s = Span::enter(&mut tb, Stage::IsoEval);
+            let _s = Span::enter(&mut tb, Stage::UpdateBfs);
             std::thread::sleep(Duration::from_millis(1));
         }
         let trace = tb.finish(t0.elapsed());
@@ -365,8 +364,8 @@ mod tests {
             assert_eq!(trace.total, Duration::ZERO);
             return;
         }
-        assert!(trace.stage(Stage::CacheLookup) >= Duration::from_millis(2));
-        assert!(trace.stage(Stage::IsoEval) >= Duration::from_millis(2), "re-entry accumulates");
+        assert!(trace.stage(Stage::UpdateDiff) >= Duration::from_millis(2));
+        assert!(trace.stage(Stage::UpdateBfs) >= Duration::from_millis(2), "re-entry accumulates");
         assert_eq!(trace.stage(Stage::QueueWait), Duration::ZERO);
         assert!(
             trace.stages_total() <= trace.total,
@@ -379,7 +378,7 @@ mod tests {
         let rec = TraceRecorder::new(3);
         for i in 0..5u64 {
             let mut tb = TraceBuilder::new(TraceKind::Identify);
-            tb.add(Stage::IsoEval, Duration::from_nanos(i + 1));
+            tb.add(Stage::LedgerRead, Duration::from_nanos(i + 1));
             rec.push(tb.finish(Duration::from_nanos(i + 1)));
         }
         if cfg!(feature = "obs-off") {

@@ -23,19 +23,22 @@
 //!   [`identify`](ServeEngine::identify) /
 //!   [`top_rules`](ServeEngine::top_rules) requests concurrently over
 //!   **lock-free snapshots**: the whole serving view (graph overlay,
-//!   candidate index, histograms, warm ledgers, the LRU cache of
-//!   per-center d-ball extractions that reads fill) is one immutable epoch-stamped
-//!   generation behind an atomic pointer. Readers load it with a single
-//!   atomic operation and never block — not on each other and not on
-//!   writers. **Live updates** ([`ServeEngine::apply_update`], a
+//!   candidate index, histograms, warm ledgers) is one immutable
+//!   epoch-stamped generation behind an atomic pointer. Readers load it
+//!   with a single atomic operation and never block — not on each other
+//!   and not on writers. A predicate's first query **warms** its ledger
+//!   (every candidate evaluated once, exactly as EIP's step 3); every
+//!   query, that one included, then answers from the ledger without
+//!   evaluating a center. **Live updates** ([`ServeEngine::apply_update`], a
 //!   [`GraphUpdate`] batch of inserts / relabels / deletions with edge
 //!   tombstones and node removal) flow through a dedicated writer
 //!   thread that **coalesces** each queued burst into one net batch
 //!   (delete + reinsert cancels, relabel chains collapse), builds the
-//!   successor generation off to the side — invalidating only the
-//!   d-balls a mutation can reach on either side of it (the union-ball
-//!   rule for non-monotone deletions) and incrementally repairing index
-//!   and warm state — then publishes it with one pointer swap.
+//!   successor generation off to the side — re-evaluating only the
+//!   centers whose d-ball a mutation can reach on either side of it (the
+//!   union-ball rule for non-monotone deletions) and incrementally
+//!   repairing index and warm ledgers — then publishes it with one
+//!   pointer swap.
 //!   [`ServeEngine::compact`] folds the overlay back into CSR form as a
 //!   generation of its own (the writer triggers the same fold by itself
 //!   under overlay pressure), publishing a [`gpar_graph::NodeRemap`]
@@ -83,7 +86,6 @@
 //! assert_eq!(res.customers, vec![c1, c2]);
 //! ```
 
-pub mod cache;
 pub mod catalog;
 pub mod clock;
 pub mod engine;
@@ -91,7 +93,6 @@ pub mod index;
 pub mod paged;
 pub mod shard;
 
-pub use cache::{CacheStats, LruCache};
 pub use catalog::{CatalogEntry, CatalogError, RuleCatalog, CATALOG_FORMAT_VERSION, CATALOG_MAGIC};
 pub use engine::{
     EngineStats, IdentifyRequest, IdentifyResponse, QueryError, QueryOpts, RuleInfo, ServeConfig,

@@ -7,9 +7,8 @@
 //! A [`gpar_partition::ShardPlan`] splits the initial node id space into
 //! contiguous ranges balanced by adjacency load; each shard runs a full
 //! [`ServeEngine`] whose **answer state** — candidate index centers,
-//! warm ledgers, d-ball cache, and update repair work — is restricted to
-//! the centers its [`gpar_partition::ShardSpec`] owns
-//! ([`crate::ServeConfig::owned`]). The **graph itself is replicated**:
+//! warm ledgers and update repair work — is restricted to the centers
+//! its [`gpar_partition::ShardSpec`] owns ([`crate::ServeConfig::owned`]). The **graph itself is replicated**:
 //! every shard applies every [`GraphUpdate`] in the same submit order
 //! (the front broadcasts under one lock), so id allocation, overlays,
 //! and compactions agree bit-for-bit across shards without any
@@ -507,21 +506,19 @@ fn merge_top_rules(answers: &[ShardAnswer], k: usize, eta: f64) -> Vec<RuleInfo>
 
 /// Merges per-shard update reports: the structural fields (assigned ids,
 /// touched set, effective edge/node deltas) are identical across shards
-/// and taken from the first; repair tallies are summed and evictions
-/// concatenated (per-shard caches are disjoint by center ownership).
+/// and taken from the first; repair tallies are summed (per-shard
+/// ledgers are disjoint by center ownership).
 fn merge_updates(reports: Vec<UpdateReport>) -> UpdateReport {
     let mut it = reports.into_iter();
     let mut out = it.next().expect("at least one shard");
     for r in it {
         debug_assert_eq!(out.assigned, r.assigned, "shards disagree on assigned ids");
         debug_assert_eq!(out.touched, r.touched, "shards disagree on the touched set");
-        out.evicted.extend(r.evicted);
         out.reevaluated += r.reevaluated;
         out.added_centers += r.added_centers;
         out.removed_centers += r.removed_centers;
         out.rebuilt_groups += r.rebuilt_groups;
     }
-    out.evicted.sort_unstable();
     out
 }
 

@@ -77,10 +77,10 @@ fn main() {
     let answered = answers.iter().filter(|a| a.is_ok()).count();
     let stats = engine.stats();
     println!(
-        "serve: {answered} batched queries in {:.2?} ({:.0} QPS), d-ball cache hit rate {:.0}%",
+        "serve: {answered} batched queries in {:.2?} ({:.0} QPS), {} warm-up(s)",
         elapsed,
         answered as f64 / elapsed.as_secs_f64(),
-        stats.cache.hit_rate() * 100.0
+        stats.warmups
     );
 
     // Top rules by confidence on the serving graph.
