@@ -10,13 +10,16 @@
 //! time the dispatcher got around to submitting it. A backlogged engine
 //! therefore shows up as queue-wait and tail latency instead of quietly
 //! throttling the offered rate (coordinated omission). Latency is
-//! recorded engine-side into the merged obs histograms; the harness
+//! recorded engine-side into the engine's obs histograms; the harness
 //! reads per-phase deltas via [`MetricsSnapshot::minus`], so the report
 //! reflects exactly the traffic of each phase.
 //!
 //! Saturation is measured by re-running the phase at geometrically
 //! increasing offered rates until completions can no longer keep up
 //! (achieved < 90% of offered); the highest achieved rate is reported.
+//! A phase's achieved rate is its query completions over the time until
+//! the last query reply drained; the churn updates still in flight then
+//! are the write side's cost and are reported there, not here.
 //!
 //! Usage:
 //!
@@ -29,16 +32,7 @@
 //!     --deadline-ms 250 --queue-cap 256 --fail-on-slo   # overload profile
 //! cargo run --release -p gpar-bench --bin load_harness -- \
 //!     --write-heavy --staleness-ms 50                   # update-dominated
-//! cargo run --release -p gpar-bench --bin load_harness -- \
-//!     --shards 4                                        # sharded front
 //! ```
-//!
-//! `--shards N` serves through the [`ShardedEngine`] scatter/gather
-//! front instead of a single engine: queries fan out to N d-ball halo
-//! shards and merge exact global statistics; updates broadcast to every
-//! shard. The report then adds a `shards` block — per-shard scatter
-//! latency, update replication, and plan balance next to the merged
-//! end-to-end tails (which the `classes` block measures at the front).
 //!
 //! Overload knobs: `--deadline-ms` arms a per-request latency budget
 //! (expired requests answer `DeadlineExceeded` instead of completing
@@ -65,9 +59,8 @@ use gpar_core::Predicate;
 use gpar_datagen::{generate_rules, RuleGenConfig};
 use gpar_graph::{Label, NodeId};
 use gpar_serve::{
-    Counter, GraphUpdate, HistKind, IdentifyRequest, IdentifyResponse, MetricsSnapshot, QueryError,
-    QueryOpts, RuleCatalog, RuleInfo, ServeConfig, ServeEngine, ShardedEngine, Ts, UpdateError,
-    UpdateReport,
+    Counter, GraphUpdate, HistKind, IdentifyRequest, MetricsSnapshot, QueryError, QueryOpts,
+    RuleCatalog, ServeConfig, ServeEngine, Ts,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -103,87 +96,6 @@ fn wait_until(deadline: Instant, stop: Option<&AtomicBool>) {
             std::thread::sleep((left - Duration::from_millis(1)).min(Duration::from_millis(5)));
         } else {
             std::hint::spin_loop();
-        }
-    }
-}
-
-/// The serving backend under load: one [`ServeEngine`], or a
-/// [`ShardedEngine`] scatter/gather front (`--shards N`). Both expose
-/// the same open-loop submit surface; the only asymmetry is where the
-/// measurements live, so the wrapper hands out two snapshots: the
-/// **query** side (end-to-end Identify / TopRules / Update latencies —
-/// the front's registry in sharded mode) and the **write** side
-/// (update-pipeline counters, snapshot lag, and stage timings — shard
-/// 0, the representative replica, in sharded mode; every shard accepts
-/// the same update stream).
-enum Serving {
-    Single(ServeEngine),
-    Sharded(ShardedEngine),
-}
-
-impl Serving {
-    fn identify(
-        &self,
-        pred: Predicate,
-        candidates: Option<Vec<NodeId>>,
-    ) -> Result<IdentifyResponse, QueryError> {
-        match self {
-            Serving::Single(e) => e.identify(pred, candidates),
-            Serving::Sharded(e) => e.identify(pred, candidates),
-        }
-    }
-
-    fn submit_identify_from(
-        &self,
-        req: IdentifyRequest,
-        scheduled: Ts,
-    ) -> Result<Receiver<Result<IdentifyResponse, QueryError>>, QueryError> {
-        match self {
-            Serving::Single(e) => e.submit_identify_from(req, scheduled),
-            Serving::Sharded(e) => e.submit_identify_from(req, scheduled),
-        }
-    }
-
-    fn submit_top_rules_from(
-        &self,
-        pred: Predicate,
-        k: usize,
-        opts: QueryOpts,
-        scheduled: Ts,
-    ) -> Result<Receiver<Result<Vec<RuleInfo>, QueryError>>, QueryError> {
-        match self {
-            Serving::Single(e) => e.submit_top_rules_from(pred, k, opts, scheduled),
-            Serving::Sharded(e) => e.submit_top_rules_from(pred, k, opts, scheduled),
-        }
-    }
-
-    fn submit_update_from(
-        &self,
-        update: GraphUpdate,
-        scheduled: Ts,
-    ) -> Result<Receiver<Result<UpdateReport, UpdateError>>, UpdateError> {
-        match self {
-            Serving::Single(e) => e.submit_update_from(update, scheduled),
-            Serving::Sharded(e) => e.submit_update_from(update, scheduled),
-        }
-    }
-
-    fn apply_update(&self, update: &GraphUpdate) -> Result<UpdateReport, UpdateError> {
-        match self {
-            Serving::Single(e) => e.apply_update(update),
-            Serving::Sharded(e) => e.apply_update(update),
-        }
-    }
-
-    /// `(query-side, write-side)` snapshots; identical for the single
-    /// engine (one registry holds everything).
-    fn snapshots(&self) -> (MetricsSnapshot, MetricsSnapshot) {
-        match self {
-            Serving::Single(e) => {
-                let m = e.metrics();
-                (m.clone(), m)
-            }
-            Serving::Sharded(e) => (e.front_metrics(), e.shard_metrics(0)),
         }
     }
 }
@@ -229,16 +141,15 @@ struct ResponseClasses {
 /// What one phase of offered load measured.
 struct PhaseResult {
     offered_qps: f64,
-    /// Completions per second of wall time until the last reply landed.
+    /// Query completions per second of wall time until the last query
+    /// reply landed (update replies are not waited for).
     achieved_qps: f64,
     submitted: u64,
     classes: ResponseClasses,
     updates_applied: u64,
-    /// Query-side delta: end-to-end request-class latencies.
+    /// The phase's metrics delta: request-class latencies, update-
+    /// pipeline counters, snapshot lag and stage timings.
     delta: MetricsSnapshot,
-    /// Write-side delta: update-pipeline counters, snapshot lag, stages
-    /// (shard 0's registry in sharded mode).
-    write_delta: MetricsSnapshot,
 }
 
 #[derive(Clone, Copy)]
@@ -264,13 +175,13 @@ struct PhaseConfig {
 /// schedule while an updater thread applies churn batches (delete +
 /// reinsert of the most local edge) on its own fixed-interval schedule.
 fn run_phase(
-    engine: &Serving,
+    engine: &ServeEngine,
     pred: Predicate,
     pool: &[NodeId],
     churn_edge: (NodeId, NodeId, Label),
     cfg: &PhaseConfig,
 ) -> PhaseResult {
-    let (before_q, before_w) = engine.snapshots();
+    let before = engine.metrics();
     let stop = AtomicBool::new(false);
     let epoch_ts = Ts::now();
     let epoch = Instant::now();
@@ -278,6 +189,7 @@ fn run_phase(
     let mut submitted = 0u64;
     let mut classes = ResponseClasses::default();
     let mut updates_applied = 0u64;
+    let mut query_wall = Duration::ZERO;
 
     std::thread::scope(|scope| {
         // Updater: bursts of churn batches at a fixed tick, submitted
@@ -387,15 +299,17 @@ fn run_phase(
                 _ => classes.failed += 1,
             }
         }
+        // The read side is done: stop its clock before waiting on the
+        // updater, whose pending replies and restoring write would
+        // otherwise count as query time.
+        query_wall = epoch.elapsed();
         // ordering: Relaxed — the join below is the synchronization point.
         stop.store(true, Ordering::Relaxed);
         updates_applied = updater.join().expect("updater thread");
     });
 
-    let wall = epoch.elapsed().as_secs_f64().max(1e-9);
-    let (after_q, after_w) = engine.snapshots();
-    let delta = after_q.minus(&before_q);
-    let write_delta = after_w.minus(&before_w);
+    let wall = query_wall.as_secs_f64().max(1e-9);
+    let delta = engine.metrics().minus(&before);
     let completed = delta.hist(HistKind::IdentifyLatency).count()
         + delta.hist(HistKind::TopRulesLatency).count();
     PhaseResult {
@@ -405,7 +319,6 @@ fn run_phase(
         classes,
         updates_applied,
         delta,
-        write_delta,
     }
 }
 
@@ -456,9 +369,6 @@ fn main() {
     let staleness_ms: Option<f64> =
         flag("--staleness-ms").map(|v| v.parse().expect("--staleness-ms"));
     let queue_cap: usize = flag("--queue-cap").map_or(0, |v| v.parse().expect("--queue-cap"));
-    // 0 = single unsharded engine; N ≥ 1 runs the scatter/gather front
-    // over N d-ball halo shards (N = 1 measures pure front overhead).
-    let shards_n: usize = flag("--shards").map_or(0, |v| v.parse().expect("--shards"));
     let fail_on_slo = args.iter().any(|a| a == "--fail-on-slo");
     let opts = QueryOpts {
         deadline: deadline_ms.map(|ms| Duration::from_secs_f64(ms / 1e3)),
@@ -506,11 +416,7 @@ fn main() {
         queue_capacity: queue_cap,
         ..Default::default()
     };
-    let engine = if shards_n > 0 {
-        Serving::Sharded(ShardedEngine::new(graph.clone(), &catalog, serve_cfg, shards_n))
-    } else {
-        Serving::Single(ServeEngine::new(graph.clone(), &catalog, serve_cfg))
-    };
+    let engine = ServeEngine::new(graph.clone(), &catalog, serve_cfg);
 
     let pool: Vec<NodeId> = {
         let mut v: Vec<NodeId> =
@@ -532,23 +438,12 @@ fn main() {
     engine.identify(serve_pred, None).expect("warm-up query");
 
     println!(
-        "load_harness: |V|={} |E|={} pool={} qps={qps} dur={:.1}s zipf_s={zipf_s} shards={}",
+        "load_harness: |V|={} |E|={} pool={} qps={qps} dur={:.1}s zipf_s={zipf_s}",
         sg.graph.node_count(),
         sg.graph.edge_count(),
         pool.len(),
         duration.as_secs_f64(),
-        if shards_n > 0 { shards_n.to_string() } else { "off".to_string() }
     );
-    if let Serving::Sharded(s) = &engine {
-        for i in 0..s.shard_count() {
-            println!(
-                "  shard {i}: plan_load={} halo={} nodes (d={})",
-                s.plan().load(i),
-                s.plan().halo(i).len(),
-                s.plan().d
-            );
-        }
-    }
 
     // Phase 1 — the SLO measurement phase at the requested rate.
     let base_cfg = PhaseConfig {
@@ -562,18 +457,7 @@ fn main() {
         seed,
         opts,
     };
-    // Per-shard baselines around the measured phase (sharded mode only).
-    let shard_before: Vec<MetricsSnapshot> = match &engine {
-        Serving::Sharded(s) => (0..s.shard_count()).map(|i| s.shard_metrics(i)).collect(),
-        Serving::Single(_) => Vec::new(),
-    };
     let measured = run_phase(&engine, serve_pred, &pool, churn_edge, &base_cfg);
-    let shard_deltas: Vec<MetricsSnapshot> = match &engine {
-        Serving::Sharded(s) => {
-            (0..s.shard_count()).map(|i| s.shard_metrics(i).minus(&shard_before[i])).collect()
-        }
-        Serving::Single(_) => Vec::new(),
-    };
     println!(
         "  replies: ok={} stale={} shed={} deadline_exceeded={} failed={}",
         measured.classes.ok,
@@ -585,11 +469,11 @@ fn main() {
     // Write-pipeline efficiency over the measured phase: how many
     // accepted batches each published generation absorbed, and how long
     // a batch waited from its scheduled tick to its snapshot's publish.
-    let wp_updates = measured.write_delta.counter(Counter::Updates);
-    let wp_coalesced = measured.write_delta.counter(Counter::UpdatesCoalesced);
-    let wp_publishes = measured.write_delta.counter(Counter::SnapshotPublishes);
+    let wp_updates = measured.delta.counter(Counter::Updates);
+    let wp_coalesced = measured.delta.counter(Counter::UpdatesCoalesced);
+    let wp_publishes = measured.delta.counter(Counter::SnapshotPublishes);
     let coalesce_ratio = wp_coalesced as f64 / (wp_updates.max(1)) as f64;
-    let lag = measured.write_delta.hist(HistKind::SnapshotLag);
+    let lag = measured.delta.hist(HistKind::SnapshotLag);
     println!(
         "  writes: applied={} publishes={wp_publishes} coalesced={wp_coalesced} \
          (ratio {coalesce_ratio:.2}) snapshot_lag p50={}ns p99={}ns",
@@ -680,40 +564,6 @@ fn main() {
         lag.quantile(0.999).unwrap_or(0),
         lag.max()
     ));
-    // Sharded mode: per-shard scatter activity and write replication
-    // next to the merged (front, end-to-end) latencies. `shard_query`
-    // is each shard's ledger-read latency; the merged numbers are the
-    // same `classes` block above, repeated here so the shard report is
-    // self-contained.
-    if let Serving::Sharded(s) = &engine {
-        json.push_str(&format!(
-            "  \"shards\": {{ \"n\": {}, \"halo_d\": {}, \"merged\": {{ \
-             \"identify_p99_ns\": {}, \"top_rules_p99_ns\": {}, \"update_p99_ns\": {} }}, \
-             \"per_shard\": [\n",
-            s.shard_count(),
-            s.plan().d,
-            measured.delta.hist(HistKind::IdentifyLatency).quantile(0.99).unwrap_or(0),
-            measured.delta.hist(HistKind::TopRulesLatency).quantile(0.99).unwrap_or(0),
-            measured.delta.hist(HistKind::UpdateLatency).quantile(0.99).unwrap_or(0),
-        ));
-        for (i, d) in shard_deltas.iter().enumerate() {
-            let sq = d.hist(HistKind::ShardQueryLatency);
-            json.push_str(&format!(
-                "    {{ \"shard\": {i}, \"plan_load\": {}, \"halo\": {}, \"updates\": {}, \
-                 \"snapshot_publishes\": {}, \"shard_query\": {{ \"count\": {}, \
-                 \"p50_ns\": {}, \"p99_ns\": {} }} }}{}\n",
-                s.plan().load(i),
-                s.plan().halo(i).len(),
-                d.counter(Counter::Updates),
-                d.counter(Counter::SnapshotPublishes),
-                sq.count(),
-                sq.quantile(0.50).unwrap_or(0),
-                sq.quantile(0.99).unwrap_or(0),
-                if i + 1 == shard_deltas.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ] },\n");
-    }
     json.push_str(&format!(
         "  \"robustness\": {{ \"deadline_ms\": {}, \"staleness_ms\": {}, \"queue_cap\": {} }},\n",
         deadline_ms.map_or("null".into(), |v| format!("{v:.1}")),
@@ -746,7 +596,7 @@ fn main() {
         HistKind::UpdateLedgerPatch,
     ];
     for (i, &k) in stage_kinds.iter().enumerate() {
-        let h = measured.write_delta.hist(k);
+        let h = measured.delta.hist(k);
         json.push_str(&format!(
             "    {{ \"stage\": \"{}\", \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {} }}{}\n",
             k.name(),

@@ -117,9 +117,6 @@ metric_enum! {
         TopRulesLatency => "top_rules_latency",
         /// End-to-end update-batch latency.
         UpdateLatency => "update_latency",
-        /// End-to-end shard ledger-query latency (the sharded front's
-        /// scatter primitive, one per shard per fan-out).
-        ShardQueryLatency => "shard_query_latency",
         /// Time between job submission and a worker picking it up.
         QueueWait => "queue_wait",
         /// Warm-ledger read/membership time.
@@ -418,34 +415,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Merges snapshots from several registries (the sharded serving
-    /// front's per-shard engines) into one aggregate view: counters sum,
-    /// histograms merge bucket-wise, and gauges **sum per name** across
-    /// inputs (queue depths add; a summed epoch gauge reads as aggregate
-    /// generation progress). Returns an empty snapshot for no inputs.
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a MetricsSnapshot>) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot {
-            counters: vec![0; Counter::COUNT],
-            hists: vec![crate::hist::HistogramSnapshot::empty(); HistKind::COUNT],
-            gauges: Vec::new(),
-        };
-        for part in parts {
-            for (acc, v) in out.counters.iter_mut().zip(&part.counters) {
-                *acc += v;
-            }
-            for (acc, h) in out.hists.iter_mut().zip(&part.hists) {
-                acc.merge(h);
-            }
-            for &(name, v) in &part.gauges {
-                match out.gauges.iter_mut().find(|(n, _)| *n == name) {
-                    Some(slot) => slot.1 += v,
-                    None => out.gauges.push((name, v)),
-                }
-            }
-        }
-        out
-    }
-
     /// Serializes to the `BENCH_matcher.json` shape used by
     /// `perf_baseline`: a `{"generated_by", "scenarios": [{"name",
     /// "median_ns_per_op", "ops_per_sample"}]}` object. Counters and
@@ -493,33 +462,6 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
-
-    #[test]
-    fn merged_sums_counters_and_histograms_across_registries() {
-        let a = MetricsRegistry::new(1);
-        let b = MetricsRegistry::new(1);
-        a.incr(0, Counter::Queries);
-        a.add(0, Counter::Updates, 3);
-        b.add(0, Counter::Queries, 4);
-        a.record(0, HistKind::IdentifyLatency, std::time::Duration::from_micros(10));
-        b.record(0, HistKind::IdentifyLatency, std::time::Duration::from_micros(30));
-        let ga = a.register_gauge("depth");
-        let gb = b.register_gauge("depth");
-        ga.set(2);
-        gb.set(5);
-        let merged = MetricsSnapshot::merged([&a.snapshot(), &b.snapshot()]);
-        assert_eq!(merged.counter(Counter::Queries), 5);
-        assert_eq!(merged.counter(Counter::Updates), 3);
-        if cfg!(feature = "obs-off") {
-            assert!(merged.hist(HistKind::IdentifyLatency).is_empty(), "recording compiled out");
-        } else {
-            assert_eq!(merged.hist(HistKind::IdentifyLatency).count(), 2);
-        }
-        assert!(merged.gauges().contains(&("depth", 7)), "gauges sum per name");
-        let empty = MetricsSnapshot::merged([]);
-        assert_eq!(empty.counter(Counter::Queries), 0);
-        assert!(empty.hist(HistKind::IdentifyLatency).is_empty());
-    }
 
     #[test]
     fn counters_sum_across_shards() {

@@ -25,11 +25,9 @@
 //! [`PartitionStrategy::Hash`] (the skew baseline ablated in the benches).
 
 pub mod fragment;
-pub mod shard;
 pub mod sites;
 pub mod stats;
 
 pub use fragment::{partition_by_centers, Fragment, PartitionStrategy};
-pub use shard::{ShardPlan, ShardSpec};
 pub use sites::{build_sites, chunk_by_load, partition_sites, CenterSite};
 pub use stats::{chunk_evenly, PartitionStats};

@@ -40,8 +40,8 @@ impl CenterSite {
     /// As [`CenterSite::build`] but reusing `scratch` for the BFS,
     /// visited marks and id translation — create one scratch per
     /// worker/thread and amortize it across every site built (EIP
-    /// partitioning, mining rounds and the serve d-ball cache all build
-    /// thousands of sites per pass).
+    /// partitioning, mining rounds, serve warm-up and serve write repair
+    /// all build thousands of sites per pass).
     pub fn build_with<G: GraphView + ?Sized>(
         g: &G,
         center: NodeId,

@@ -203,13 +203,6 @@ pub struct ServeConfig {
     /// avoids them until dead slots dominate). Until then, an overlay
     /// with pending removals is left un-compacted.
     pub compact_dead_fraction: f64,
-    /// When set, this engine serves as one shard of a
-    /// [`crate::ShardedEngine`]: its candidate index, warm ledgers, and
-    /// repair work cover only the centers the spec owns. The graph
-    /// itself stays whole (every shard applies every update, so ids and
-    /// overlays agree across shards); only the *answer* state is
-    /// sharded. `None` (the default) serves the full center set.
-    pub owned: Option<gpar_partition::ShardSpec>,
 }
 
 impl Default for ServeConfig {
@@ -225,7 +218,6 @@ impl Default for ServeConfig {
             coalesce_max_batch: 64,
             compact_pressure: 0.5,
             compact_dead_fraction: 0.6,
-            owned: None,
         }
     }
 }
@@ -370,55 +362,6 @@ pub struct IdentifyResponse {
     /// accepted-but-unpublished updates were in flight
     /// ([`QueryOpts::staleness`]) — the snapshot it read predates those
     /// updates.
-    pub stale: bool,
-}
-
-/// The sharded front's scatter primitive: one shard's per-predicate
-/// ledger surface, read from a single snapshot. Carries everything the
-/// merger needs to re-derive **global** statistics exactly — per-rule
-/// support counters to sum, plus this shard's per-rule member lists to
-/// union — because a shard's local η verdicts are meaningless on their
-/// own (confidence is a global ratio).
-#[derive(Debug, Clone)]
-pub struct ShardQuery {
-    /// The event `q(x, y)` to read the ledger surface for.
-    pub predicate: Predicate,
-    /// `None` reports every owned candidate's memberships; `Some`
-    /// restricts the member lists (but never the counters, which always
-    /// cover the shard's whole owned candidate set) to these centers.
-    pub candidates: Option<Vec<NodeId>>,
-    /// Deadline / staleness options (default: none).
-    pub opts: QueryOpts,
-}
-
-/// One shard's answer to a [`ShardQuery`].
-#[derive(Debug, Clone)]
-pub struct ShardAnswer {
-    /// The group's rules, in group order. Identical across shards (rule
-    /// activation depends only on the graph, which every shard shares),
-    /// so the merger aligns per-rule data positionally.
-    pub rules: Vec<Arc<Gpar>>,
-    /// Per rule: `(supp_r, supp_q_qbar, supp_q_ante)` over this shard's
-    /// owned candidates.
-    pub per_rule: Vec<(u64, u64, u64)>,
-    /// `supp(q)` over this shard's owned candidates.
-    pub supp_q: u64,
-    /// `supp(q̄)` over this shard's owned candidates.
-    pub supp_qbar: u64,
-    /// Per rule: the owned candidates in `Q(x, G_d(v_x))` (sorted;
-    /// restricted to `candidates` when given). The merger unions these
-    /// across shards for every rule that clears η *globally*.
-    pub q_members: Vec<Vec<NodeId>>,
-    /// The requested owned candidates that are in the ledger, or all of
-    /// them for `None` — summed across shards, this is the front's
-    /// [`IdentifyResponse::evaluated`].
-    pub evaluated: usize,
-    /// Whether this query performed the shard's predicate warm-up.
-    pub warmed: bool,
-    /// View epoch of the snapshot this surface reflects.
-    pub epoch: u64,
-    /// Whether the answer was served within a staleness bound while
-    /// updates were in flight on this shard.
     pub stale: bool,
 }
 
@@ -1085,70 +1028,6 @@ impl Shared {
         Ok(out)
     }
 
-    /// Reads this engine's per-predicate ledger surface for the sharded
-    /// front (see [`ShardQuery`]): warm the predicate if needed, then
-    /// report raw support counters plus per-rule membership lists from
-    /// one snapshot. Pure ledger reads — no per-query evaluation — so
-    /// the scatter cost is independent of candidate ball sizes.
-    fn shard_answer(
-        &self,
-        req: &ShardQuery,
-        shard: usize,
-        tb: &mut TraceBuilder,
-        dl: Option<&Deadline>,
-    ) -> Result<ShardAnswer, QueryError> {
-        let stale = self.resolve_staleness(&req.opts, shard, dl)?;
-        let view = self.view.load_full();
-        let group = view.index.group(&req.predicate).ok_or(QueryError::UnknownPredicate)?;
-        Deadline::check(dl)?;
-        let warm_started = Ts::now();
-        let (state, warmed) = self.state(&view, group, shard);
-        if warmed {
-            tb.add(Stage::Warmup, warm_started.elapsed());
-        }
-        let _s = Span::enter(tb, Stage::LedgerRead);
-        let nrules = group.sigma.rules.len();
-        // Both arms visit centers in id order, so every member list
-        // comes out sorted.
-        let mut q_members: Vec<Vec<NodeId>> = vec![Vec::new(); nrules];
-        let push_members = |rec: &CenterRecord, c: NodeId, q_members: &mut Vec<Vec<NodeId>>| {
-            for (r, members) in q_members.iter_mut().enumerate().take(nrules) {
-                if rec.q_member.get(r).copied().unwrap_or(false) {
-                    members.push(c);
-                }
-            }
-        };
-        let evaluated = match &req.candidates {
-            None => {
-                for (c, rec) in state.outcomes.iter() {
-                    push_members(rec, c, &mut q_members);
-                }
-                state.outcomes.len()
-            }
-            Some(cands) => {
-                // Intersect with this shard's owned candidate set; ids
-                // owned elsewhere (or outside L entirely) contribute
-                // nothing here and are answered by their owner.
-                let requested = state.requested(cands);
-                for &(c, rec) in &requested {
-                    push_members(rec, c, &mut q_members);
-                }
-                requested.len()
-            }
-        };
-        Ok(ShardAnswer {
-            rules: group.sigma.rule_arcs.clone(),
-            per_rule: state.per_rule.clone(),
-            supp_q: state.supp_q,
-            supp_qbar: state.supp_qbar,
-            q_members,
-            evaluated,
-            warmed,
-            epoch: view.epoch,
-            stale,
-        })
-    }
-
     /// Absorbs one popped update batch plus everything else queued
     /// within the coalescing window, validating each against the
     /// published overlay via the [`Coalescer`] (a rejected batch answers
@@ -1472,12 +1351,7 @@ impl Shared {
                 let preds: Vec<Predicate> = index.groups().map(|g| g.predicate).collect();
                 for pred in preds {
                     let group = index.group(&pred).expect("group listed above");
-                    let (mut added, removed) = center_changes(group, &graph, &applied);
-                    // Shard mode: another shard owns this center's
-                    // answers; it performs the same add on its copy.
-                    if let Some(spec) = &self.cfg.owned {
-                        added.retain(|&c| spec.owns(c));
-                    }
+                    let (added, removed) = center_changes(group, &graph, &applied);
                     if added.is_empty() && removed.is_empty() {
                         continue;
                     }
@@ -1542,13 +1416,6 @@ impl Shared {
                     &node_hist,
                     &edge_hist,
                 ) {
-                    // A rebuilt group enumerated the full graph's
-                    // centers; restrict it to this shard's share again.
-                    if let Some(spec) = &self.cfg.owned {
-                        if let Some(g) = index.group_mut(&pred) {
-                            g.retain_centers(|c| spec.owns(c));
-                        }
-                    }
                     rebuilt.push(pred);
                 }
             }
@@ -1798,8 +1665,6 @@ struct AcceptedUpdate {
 enum Job {
     Identify(IdentifyRequest, Ts, Option<Deadline>, Sender<Result<IdentifyResponse, QueryError>>),
     TopRules(Predicate, usize, Ts, Option<Deadline>, Sender<Result<Vec<RuleInfo>, QueryError>>),
-    /// The sharded front's scatter primitive (a per-shard ledger read).
-    Shard(ShardQuery, Ts, Option<Deadline>, Sender<Result<ShardAnswer, QueryError>>),
     /// Test-only: a job whose evaluation panics, pinning that a panicking
     /// query neither kills the worker nor wedges the pool.
     #[cfg(test)]
@@ -1822,9 +1687,6 @@ impl Job {
             Job::TopRules(_, _, _, _, tx) => {
                 let _ = tx.send(Err(err));
             }
-            Job::Shard(_, _, _, tx) => {
-                let _ = tx.send(Err(err));
-            }
             #[cfg(test)]
             Job::Crash(tx) | Job::Sleep(_, tx) => {
                 let _ = tx.send(Err(err));
@@ -1837,7 +1699,6 @@ impl Job {
         match self {
             Job::Identify(req, ..) => Some(&req.predicate),
             Job::TopRules(pred, ..) => Some(pred),
-            Job::Shard(req, ..) => Some(&req.predicate),
             #[cfg(test)]
             Job::Crash(_) | Job::Sleep(..) => None,
         }
@@ -1860,18 +1721,12 @@ impl ServeEngine {
     /// Builds the index for `(graph, catalog)`, publishes the initial
     /// snapshot, and spawns the query pool plus the single writer.
     pub fn new(graph: Arc<Graph>, catalog: &RuleCatalog, cfg: ServeConfig) -> Self {
-        let mut index = CandidateIndex::build(
+        let index = CandidateIndex::build(
             &*graph,
             catalog,
             cfg.d,
             &MatchOpts::for_algorithm(cfg.algorithm),
         );
-        if let Some(spec) = &cfg.owned {
-            // Shard mode: groups are built against the whole graph (so
-            // activation signatures match every other shard exactly),
-            // then restricted to this shard's owned centers.
-            index.retain_centers(|c| spec.owns(c));
-        }
         let node_hist = graph.node_label_histogram();
         let edge_hist = graph.edge_label_histogram();
         let workers = cfg.workers.max(1);
@@ -2032,28 +1887,6 @@ impl ServeEngine {
         let dl = Deadline::arm(&opts, scheduled);
         self.submit(Job::TopRules(predicate, k, scheduled, dl, tx))?;
         Ok(rx)
-    }
-
-    /// Submits a per-shard ledger read without blocking — the
-    /// [`crate::ShardedEngine`] front's scatter primitive, also usable
-    /// standalone to read a predicate's exact support surface. Rides the
-    /// same worker pool, admission control, and priority lanes as
-    /// `identify`.
-    pub fn submit_shard_query_from(
-        &self,
-        req: ShardQuery,
-        scheduled: Ts,
-    ) -> Result<Receiver<Result<ShardAnswer, QueryError>>, QueryError> {
-        let (tx, rx) = channel();
-        let dl = Deadline::arm(&req.opts, scheduled);
-        self.submit(Job::Shard(req, scheduled, dl, tx))?;
-        Ok(rx)
-    }
-
-    /// Blocking [`ServeEngine::submit_shard_query_from`].
-    pub fn shard_query(&self, req: ShardQuery) -> Result<ShardAnswer, QueryError> {
-        let rx = self.submit_shard_query_from(req, Ts::now())?;
-        rx.recv().map_err(|_| QueryError::ReplyLost)?
     }
 
     /// Applies one insert/relabel/deletion batch to the serving graph:
@@ -2324,23 +2157,6 @@ fn worker_loop(shared: Arc<Shared>, jobs: Arc<Injector<Job>>, shard: usize) {
                 shared.finish_trace(shard, tb, submitted.elapsed(), HistKind::TopRulesLatency);
                 let _ = reply.send(res);
             }
-            Job::Shard(req, submitted, dl, reply) => {
-                let mut tb = TraceBuilder::new(TraceKind::Identify);
-                tb.add(Stage::QueueWait, submitted.elapsed());
-                let res = Deadline::check(dl.as_ref())
-                    .and_then(|()| {
-                        run_contained(|| {
-                            gpar_chaos::failpoint("serve::worker::job");
-                            shared.shard_answer(&req, shard, &mut tb, dl.as_ref())
-                        })
-                    })
-                    .and_then(|ans| Deadline::check(dl.as_ref()).map(|()| ans));
-                if matches!(res, Err(QueryError::DeadlineExceeded { .. })) {
-                    shared.obs.incr(shard, Counter::DeadlineExceeded);
-                }
-                shared.finish_trace(shard, tb, submitted.elapsed(), HistKind::ShardQueryLatency);
-                let _ = reply.send(res);
-            }
             #[cfg(test)]
             Job::Crash(reply) => {
                 let _ = reply.send(run_contained(|| -> Result<IdentifyResponse, _> {
@@ -2415,17 +2231,27 @@ mod tests {
         v
     }
 
+    /// The customers a direct [`gpar_eip::identify`] run finds for
+    /// `pred`'s rules on `g` at `eta`, sorted: the oracle a full
+    /// `identify` answer must equal.
+    fn direct_eip_customers(
+        g: &Graph,
+        cat: &RuleCatalog,
+        pred: Predicate,
+        eta: f64,
+    ) -> Vec<NodeId> {
+        let sigma: Vec<Gpar> = cat.rules_for(&pred).iter().map(|e| (*e.rule).clone()).collect();
+        let eip =
+            eip_identify(g, &sigma, &EipConfig { eta, ..EipConfig::new(EipAlgorithm::Match, 3) })
+                .unwrap();
+        sorted(&eip.customers)
+    }
+
     #[test]
     fn full_identify_equals_direct_eip() {
         let (g, cat, pred) = scenario();
-        let sigma: Vec<Gpar> = cat.rules_for(&pred).iter().map(|e| (*e.rule).clone()).collect();
         for eta in [0.5, 1.5] {
-            let eip = eip_identify(
-                &*g,
-                &sigma,
-                &EipConfig { eta, ..EipConfig::new(EipAlgorithm::Match, 3) },
-            )
-            .unwrap();
+            let eip = direct_eip_customers(&g, &cat, pred, eta);
             for workers in [1, 3] {
                 let engine = ServeEngine::new(
                     g.clone(),
@@ -2433,7 +2259,7 @@ mod tests {
                     ServeConfig { workers, eta, ..Default::default() },
                 );
                 let res = engine.identify(pred, None).unwrap();
-                assert_eq!(res.customers, sorted(&eip.customers), "eta {eta} w {workers}");
+                assert_eq!(res.customers, eip, "eta {eta} w {workers}");
             }
         }
     }
@@ -2573,6 +2399,7 @@ mod tests {
             ServeConfig { eta: 0.5, workers: 4, ..Default::default() },
         );
         let serial = engine.identify(pred, None).unwrap().customers;
+        assert_eq!(serial, direct_eip_customers(&g, &cat, pred, 0.5), "serial equals direct EIP");
         let reqs: Vec<IdentifyRequest> = (0..16)
             .map(|i| IdentifyRequest {
                 predicate: pred,
@@ -2616,6 +2443,7 @@ mod tests {
     #[test]
     fn warm_answers_are_identical_across_worker_counts() {
         let (g, cat, pred) = scenario();
+        let eip = direct_eip_customers(&g, &cat, pred, 0.5);
         let run = |workers: usize| {
             let engine = ServeEngine::new(
                 g.clone(),
@@ -2627,6 +2455,7 @@ mod tests {
             let hot = engine.identify(pred, None).unwrap();
             assert!(!hot.warmed);
             assert_eq!(cold.customers, hot.customers, "warm answer equals post-warm answer");
+            assert_eq!(cold.customers, eip, "workers = {workers}: full answer equals direct EIP");
             let top = engine.top_rules(pred, 10).unwrap();
             (cold.customers, top[0].stats, top[0].confidence)
         };

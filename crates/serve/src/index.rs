@@ -126,13 +126,6 @@ impl PredicateGroup {
         self.centers.remove(c).is_some()
     }
 
-    /// Drops every center failing `keep`. The sharded engine uses this to
-    /// restrict a group (built or rebuilt against the full graph) to the
-    /// shard's owned centers.
-    pub fn retain_centers(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
-        self.centers.retain(|c, _| keep(c));
-    }
-
     /// Translates the centers through a compaction [`NodeRemap`]. All
     /// centers must survive (removed nodes are retired from every group
     /// when the removal batch is applied, before any compaction).
@@ -217,15 +210,6 @@ impl CandidateIndex {
     /// signature is unsatisfiable in the graph).
     pub fn dormant(&self) -> &[Predicate] {
         &self.dormant
-    }
-
-    /// Restricts every group to the centers passing `keep` (see
-    /// [`PredicateGroup::retain_centers`]) — the sharded engine's
-    /// owned-center filter.
-    pub fn retain_centers(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
-        for g in self.groups.values_mut() {
-            Arc::make_mut(g).retain_centers(&mut keep);
-        }
     }
 
     /// Translates every group's center list through a compaction

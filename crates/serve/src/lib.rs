@@ -91,15 +91,13 @@ pub mod clock;
 pub mod engine;
 pub mod index;
 pub mod paged;
-pub mod shard;
 
 pub use catalog::{CatalogEntry, CatalogError, RuleCatalog, CATALOG_FORMAT_VERSION, CATALOG_MAGIC};
 pub use engine::{
     EngineStats, IdentifyRequest, IdentifyResponse, QueryError, QueryOpts, RuleInfo, ServeConfig,
-    ServeEngine, ShardAnswer, ShardQuery, UpdateError, UpdateReport,
+    ServeEngine, UpdateError, UpdateReport,
 };
 pub use gpar_graph::GraphUpdate;
-pub use shard::ShardedEngine;
 // Observability vocabulary, re-exported so engine consumers (the load
 // harness, dashboards) need not depend on gpar-obs directly.
 pub use gpar_obs::{
