@@ -14,12 +14,17 @@
 //! reads per-phase deltas via [`MetricsSnapshot::minus`], so the report
 //! reflects exactly the traffic of each phase.
 //!
-//! Saturation is measured by re-running the phase at geometrically
-//! increasing offered rates until completions can no longer keep up
-//! (achieved < 90% of offered); the highest achieved rate is reported.
-//! A phase's achieved rate is its query completions over the time until
-//! the last query reply drained; the churn updates still in flight then
-//! are the write side's cost and are reported there, not here.
+//! Saturation is measured by re-running the phase at a quadrupling
+//! offered rate until completions can no longer keep up (achieved < 90%
+//! of offered), under a hard step cap; the highest achieved rate is
+//! reported. A phase's achieved rate is its query completions over the
+//! time until the last query reply drained; the churn updates still in
+//! flight then are the write side's cost and are reported there, not
+//! here. Each step also records how late the dispatcher ran (its last
+//! submission's lag behind schedule): a step whose dispatcher fell more
+//! than 10% of the phase behind saturated the generator, not the engine,
+//! and is reported as such. When the sweep ends without saturating the
+//! engine, `saturation_qps` is a lower bound and the report says so.
 //!
 //! Usage:
 //!
@@ -150,6 +155,25 @@ struct PhaseResult {
     /// The phase's metrics delta: request-class latencies, update-
     /// pipeline counters, snapshot lag and stage timings.
     delta: MetricsSnapshot,
+    /// How late the dispatcher ran: its last submission's lag behind that
+    /// submission's scheduled offset.
+    dispatch_lag: Duration,
+    /// The last submission's scheduled offset into the phase.
+    scheduled_span: Duration,
+}
+
+impl PhaseResult {
+    /// Completions fell behind offers: achieved < 90% of offered.
+    fn saturated(&self) -> bool {
+        self.achieved_qps < 0.9 * self.offered_qps
+    }
+
+    /// The dispatcher fell more than 10% of the phase behind its own
+    /// schedule, so the engine was never offered the nominal rate: a
+    /// shortfall in this phase measures the generator, not the engine.
+    fn generator_bound(&self) -> bool {
+        self.dispatch_lag.as_secs_f64() > 0.1 * self.scheduled_span.as_secs_f64()
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -190,6 +214,7 @@ fn run_phase(
     let mut classes = ResponseClasses::default();
     let mut updates_applied = 0u64;
     let mut query_wall = Duration::ZERO;
+    let (mut dispatch_lag, mut scheduled_span) = (Duration::ZERO, Duration::ZERO);
 
     std::thread::scope(|scope| {
         // Updater: bursts of churn batches at a fixed tick, submitted
@@ -252,6 +277,7 @@ fn run_phase(
                 break;
             }
             wait_until(epoch + t, None);
+            (dispatch_lag, scheduled_span) = (epoch.elapsed().saturating_sub(t), t);
             let scheduled = epoch_ts.plus(t);
             if rng.gen_bool(cfg.identify_frac) {
                 let size = rng.gen_range(1usize..=8);
@@ -319,6 +345,8 @@ fn run_phase(
         classes,
         updates_applied,
         delta,
+        dispatch_lag,
+        scheduled_span,
     }
 }
 
@@ -375,7 +403,6 @@ fn main() {
         staleness: staleness_ms.map(|ms| Duration::from_secs_f64(ms / 1e3)),
     };
     let out_path = flag("--out").unwrap_or_else(|| "SLO_report.json".to_string());
-    let sweep_steps: usize = if quick { 3 } else { 6 };
     let max_requests: u64 = if quick { 5_000 } else { 50_000 };
     let identify_frac = 0.85;
     // Write-side shape: `--write-heavy` is the update-dominated preset
@@ -493,31 +520,52 @@ fn main() {
         );
     }
 
-    // Phase 2..N — the saturation sweep: same shape, geometrically
-    // increasing offered rate, until completions fall behind offers.
-    let mut sweep: Vec<(f64, f64)> = vec![(measured.offered_qps, measured.achieved_qps)];
-    let mut saturated = measured.achieved_qps < 0.9 * measured.offered_qps;
+    // Phase 2..N — the saturation sweep: same shape, the offered rate
+    // quadrupling until completions fall behind offers, for at most
+    // `SWEEP_STEP_CAP` phases in all. `max_requests` bounds each phase's
+    // memory, and every phase reuses the same two threads.
+    const SWEEP_STEP_CAP: usize = 10;
+    // (offered, achieved, dispatch lag, generator-bound) per phase.
+    let step_of =
+        |r: &PhaseResult| (r.offered_qps, r.achieved_qps, r.dispatch_lag, r.generator_bound());
+    let mut sweep = vec![step_of(&measured)];
+    let mut saturated = measured.saturated();
     let mut offered = qps;
-    for step in 1..sweep_steps {
-        if saturated {
-            break;
-        }
+    while !saturated && sweep.len() < SWEEP_STEP_CAP {
         offered *= 4.0;
-        let cfg = PhaseConfig { qps: offered, seed: seed.wrapping_add(step as u64), ..base_cfg };
-        let r = run_phase(&engine, serve_pred, &pool, churn_edge, &cfg);
+        let seed = seed.wrapping_add(sweep.len() as u64);
+        let r = run_phase(
+            &engine,
+            serve_pred,
+            &pool,
+            churn_edge,
+            &PhaseConfig { qps: offered, seed, ..base_cfg },
+        );
         println!(
-            "  sweep: offered={:>10.0} qps achieved={:>10.0} qps (n={}, shed={}, dl={}, err={})",
+            "  sweep: offered={:>10.0} qps achieved={:>10.0} qps dispatch_lag={:.3}ms{} \
+             (n={}, shed={}, dl={}, err={})",
             r.offered_qps,
             r.achieved_qps,
+            r.dispatch_lag.as_secs_f64() * 1e3,
+            if r.generator_bound() { " generator-bound" } else { "" },
             r.submitted,
             r.classes.shed,
             r.classes.deadline_exceeded,
             r.classes.failed
         );
-        sweep.push((r.offered_qps, r.achieved_qps));
-        saturated = r.achieved_qps < 0.9 * r.offered_qps;
+        sweep.push(step_of(&r));
+        saturated = r.saturated();
     }
-    let saturation_qps = sweep.iter().map(|&(_, a)| a).fold(0.0f64, f64::max);
+    let saturation_qps = sweep.iter().map(|s| s.1).fold(0.0f64, f64::max);
+    // What ended the sweep: the engine falling behind a rate the
+    // generator kept up with, the generator falling behind its own
+    // schedule, or the step cap. Only the first measures capacity.
+    let saturated_by = match sweep.last() {
+        Some(&(.., generator_bound)) if saturated && !generator_bound => Some("engine"),
+        _ if saturated => Some("generator"),
+        _ => None,
+    };
+    let lower_bound = saturated_by != Some("engine");
 
     // The latency SLO applies to *admitted and completed* work: shed and
     // deadline-expired requests are accounted separately (they are the
@@ -608,20 +656,30 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str("  \"saturation\": {\n    \"sweep\": [\n");
-    for (i, &(o, a)) in sweep.iter().enumerate() {
+    for (i, &(o, a, lag, generator_bound)) in sweep.iter().enumerate() {
         json.push_str(&format!(
-            "      {{ \"offered_qps\": {o:.1}, \"achieved_qps\": {a:.1} }}{}\n",
+            "      {{ \"offered_qps\": {o:.1}, \"achieved_qps\": {a:.1}, \
+             \"dispatch_lag_ms\": {:.3}, \"generator_bound\": {generator_bound} }}{}\n",
+            lag.as_secs_f64() * 1e3,
             if i + 1 == sweep.len() { "" } else { "," }
         ));
     }
     json.push_str(&format!(
-        "    ],\n    \"saturated\": {saturated},\n    \"saturation_qps\": {saturation_qps:.1}\n  }},\n"
+        "    ],\n    \"saturated\": {saturated},\n    \"saturated_by\": {},\n    \
+         \"lower_bound\": {lower_bound},\n    \"saturation_qps\": {saturation_qps:.1}\n  }},\n",
+        saturated_by.map_or("null".to_string(), |by| format!("\"{by}\""))
     ));
     json.push_str(&format!("  \"slo_pass\": {slo_pass}\n"));
     json.push_str("}\n");
     std::fs::write(&out_path, &json).expect("write report");
+    let bound = match saturated_by {
+        Some("engine") => "saturated by the engine".to_string(),
+        Some(by) => format!("a lower bound: the {by} saturated, not the engine"),
+        None => format!("a lower bound: the sweep hit its {SWEEP_STEP_CAP}-step cap unsaturated"),
+    };
     println!(
-        "saturation_qps={saturation_qps:.0} (saturated={saturated}) slo_pass={slo_pass} → {out_path}"
+        "saturation_qps={saturation_qps:.0} ({bound}) saturated={saturated} slo_pass={slo_pass} \
+         → {out_path}"
     );
     if fail_on_slo && !slo_pass {
         std::process::exit(1);

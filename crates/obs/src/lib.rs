@@ -15,8 +15,8 @@
 //!   [`Counter`]s and histograms plus shared [`Gauge`]s, snapshotted
 //!   into one coherent [`MetricsSnapshot`]. Counters that must move
 //!   together are bumped inside a seqlock [`WriteTxn`], so snapshots
-//!   never observe half of a multi-counter transaction (the
-//!   `EngineStats`-consistency contract). `MetricsSnapshot::to_bench_json`
+//!   never observe half of a multi-counter transaction (an update
+//!   window's counters move together). `MetricsSnapshot::to_bench_json`
 //!   serializes to the `BENCH_matcher.json` scenario shape.
 //! * [`trace`] — **per-request spans**: a worker accumulates stage
 //!   durations into a local [`TraceBuilder`] (enter a [`Span`], drop it),

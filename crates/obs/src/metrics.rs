@@ -19,8 +19,8 @@
 //! epoch odd for the duration. [`MetricsRegistry::counters_stable`]
 //! retries until it reads the same even epoch on both sides of the
 //! counter sweep, so a snapshot can never observe half of a transaction:
-//! `EngineStats` taken mid-update shows either the whole update or none
-//! of it. Counters bumped outside any transaction (query and warm-up
+//! a [`MetricsSnapshot`] taken mid-update shows either the whole update
+//! or none of it. Counters bumped outside any transaction (query and warm-up
 //! counts) are monotone and need no such grouping.
 
 use crate::hist::{HistogramSnapshot, LatencyHistogram};

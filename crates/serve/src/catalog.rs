@@ -227,8 +227,8 @@ impl RuleCatalog {
             // locally keeps save correct even for mixed provenance.
             let q = e.rule.antecedent().vocab().resolve(e.rule.predicate().label);
             bin::write_str(w, &q)?;
-            let s = &e.stats;
-            for v in [s.supp_r, s.supp_q_ante, s.supp_q, s.supp_qbar, s.supp_q_qbar] {
+            let ConfStats { supp_r, supp_q_ante, supp_q, supp_qbar, supp_q_qbar } = e.stats;
+            for v in [supp_r, supp_q_ante, supp_q, supp_qbar, supp_q_qbar] {
                 bin::write_uvarint(w, v)?;
             }
         }

@@ -2,52 +2,39 @@
 //!
 //! The serving subsystem: mine GPARs **once**, then answer entity
 //! identification queries (§5's EIP, "identify potential customers") at
-//! production rates against a live graph.
+//! production rates against a live graph. The one-shot pipeline
+//! (`gpar-mine` → `gpar-eip`) re-derives candidate sets, sharing plans,
+//! d-ball extractions and global confidences per call; this crate splits
+//! that work along the serving boundary.
 //!
-//! The one-shot pipeline (`gpar-mine` → `gpar-eip`) re-derives everything
-//! per call: candidate sets, sharing plans, d-ball extractions, global
-//! confidences. This crate splits that work along the serving boundary:
+//! ## Module map
 //!
-//! * [`RuleCatalog`] — the durable artifact between mining and serving: a
-//!   **versioned** rule collection with mining-time statistics, persisted
-//!   with the workspace's compact binary codec (`gpar_graph::io::bin` +
-//!   `gpar_pattern::codec`). Export a mining run with
-//!   [`RuleCatalog::from_mine_result`], ship the file, load it next to any
-//!   graph.
-//! * [`CandidateIndex`] — per consequent predicate: the rule group with
-//!   unsatisfiable rules deactivated (antecedent **label signature**
-//!   check), a pre-built [`gpar_eip::SharingPlan`], the antecedent
-//!   sketches that guide `Match`'s per-candidate search, and the candidate
-//!   centers `L`.
-//! * [`ServeEngine`] — a fixed worker pool servicing
-//!   [`identify`](ServeEngine::identify) /
-//!   [`top_rules`](ServeEngine::top_rules) requests concurrently over
-//!   **lock-free snapshots**: the whole serving view (graph overlay,
-//!   candidate index, histograms, warm ledgers) is one immutable
-//!   epoch-stamped generation behind an atomic pointer. Readers load it
-//!   with a single atomic operation and never block — not on each other
-//!   and not on writers. A predicate's first query **warms** its ledger
-//!   (every candidate evaluated once, exactly as EIP's step 3); every
-//!   query, that one included, then answers from the ledger without
-//!   evaluating a center. **Live updates** ([`ServeEngine::apply_update`], a
-//!   [`GraphUpdate`] batch of inserts / relabels / deletions with edge
-//!   tombstones and node removal) flow through a dedicated writer
-//!   thread that **coalesces** each queued burst into one net batch
-//!   (delete + reinsert cancels, relabel chains collapse), builds the
-//!   successor generation off to the side — re-evaluating only the
-//!   centers whose d-ball a mutation can reach on either side of it (the
-//!   union-ball rule for non-monotone deletions) and incrementally
-//!   repairing index and warm ledgers — then publishes it with one
-//!   pointer swap.
-//!   [`ServeEngine::compact`] folds the overlay back into CSR form as a
-//!   generation of its own (the writer triggers the same fold by itself
-//!   under overlay pressure), publishing a [`gpar_graph::NodeRemap`]
-//!   when node removals re-densified the id space.
+//! * [`catalog`] — [`RuleCatalog`], the durable artifact between mining
+//!   and serving: a **versioned** rule collection with mining-time
+//!   statistics in the workspace's compact binary codec. Export a mining
+//!   run with [`RuleCatalog::from_mine_result`], load it next to any graph.
+//! * [`index`] — [`CandidateIndex`]: per consequent predicate, the rule
+//!   group with unsatisfiable rules deactivated (antecedent **label
+//!   signature** check), its pre-built [`gpar_eip::SharingPlan`], and the
+//!   candidate centers `L`.
+//! * [`engine`] — [`ServeEngine`] and its config, request, response and
+//!   error types; the **lock-free epoch snapshots** every request reads;
+//!   the consistency contract.
+//! * `admission` — the query pool: bounded priority lanes, deadlines,
+//!   panic containment.
+//! * `read` — the warm-up and the two queries. Every answer is a read of
+//!   the warm ledger; no query evaluates a center.
+//! * `write` — the single writer: coalescing window, union-ball repair of
+//!   index and ledgers, one-swap publish, compaction.
+//! * `ledger` — the warm ledger the read and write paths share:
+//!   per-center records and the exact counts they fold into.
+//! * [`paged`] — [`PagedMap`], the page-shared map that lets a successor
+//!   generation copy only what an update touches.
+//! * [`clock`] — the accepted-update frontier that staleness-bounded
+//!   reads measure publish lag against.
 //!
 //! The engine's answers are **exactly** those of a direct
-//! [`gpar_eip::identify`] run on the same (current) graph — the warm-up
-//! pass assembles the same global confidence counts, and updates patch
-//! them to what a from-scratch rebuild would compute; see the
+//! [`gpar_eip::identify`] run on the same (current) graph; see the
 //! consistency contract in [`engine`].
 //!
 //! ```
@@ -86,16 +73,20 @@
 //! assert_eq!(res.customers, vec![c1, c2]);
 //! ```
 
+mod admission;
 pub mod catalog;
 pub mod clock;
 pub mod engine;
 pub mod index;
+mod ledger;
 pub mod paged;
+mod read;
+mod write;
 
 pub use catalog::{CatalogEntry, CatalogError, RuleCatalog, CATALOG_FORMAT_VERSION, CATALOG_MAGIC};
 pub use engine::{
-    EngineStats, IdentifyRequest, IdentifyResponse, QueryError, QueryOpts, RuleInfo, ServeConfig,
-    ServeEngine, UpdateError, UpdateReport,
+    IdentifyRequest, IdentifyResponse, QueryError, QueryOpts, RuleInfo, ServeConfig, ServeEngine,
+    UpdateError, UpdateReport,
 };
 pub use gpar_graph::GraphUpdate;
 // Observability vocabulary, re-exported so engine consumers (the load

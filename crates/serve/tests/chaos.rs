@@ -23,7 +23,7 @@ use gpar_core::{ConfStats, Gpar, Predicate};
 use gpar_graph::{DeltaGraph, Graph, GraphBuilder, GraphUpdate, NodeId, Vocab};
 use gpar_pattern::PatternBuilder;
 use gpar_serve::{
-    IdentifyRequest, IdentifyResponse, QueryError, QueryOpts, RuleCatalog, ServeConfig,
+    Counter, IdentifyRequest, IdentifyResponse, QueryError, QueryOpts, RuleCatalog, ServeConfig,
     ServeEngine, Ts, UpdateError,
 };
 use proptest::prelude::*;
@@ -250,7 +250,7 @@ fn unarmed_failpoints_are_inert_in_the_engine() {
     }
     assert_eq!(engine.identify(pred, None).unwrap().customers, baseline);
     assert_eq!(gpar_chaos::tally(), ChaosTally::default(), "no faults fire unarmed");
-    assert_eq!(engine.stats().shed, 0);
+    assert_eq!(engine.metrics().counter(Counter::Shed), 0);
 }
 
 // Any seed converges: the fault sequence is arbitrary, the contract is

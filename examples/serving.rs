@@ -12,7 +12,7 @@ use gpar::eip::{identify, EipAlgorithm, EipConfig};
 use gpar::graph::NodeId;
 use gpar::mine::{DMine, DmineConfig};
 use gpar::prelude::Gpar;
-use gpar::serve::{IdentifyRequest, RuleCatalog, ServeConfig, ServeEngine};
+use gpar::serve::{Counter, IdentifyRequest, RuleCatalog, ServeConfig, ServeEngine};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -75,12 +75,11 @@ fn main() {
     let answers = engine.identify_batch(reqs);
     let elapsed = t0.elapsed();
     let answered = answers.iter().filter(|a| a.is_ok()).count();
-    let stats = engine.stats();
     println!(
         "serve: {answered} batched queries in {:.2?} ({:.0} QPS), {} warm-up(s)",
         elapsed,
         answered as f64 / elapsed.as_secs_f64(),
-        stats.warmups
+        engine.metrics().counter(Counter::Warmups)
     );
 
     // Top rules by confidence on the serving graph.

@@ -23,7 +23,7 @@ use delta_fuzz::{label_universe, predicate_of, surface, surface_to_overlay_ids, 
 use gpar::core::{ConfStats, Gpar};
 use gpar::datagen::{generate_rules, synthetic, RuleGenConfig, SyntheticConfig};
 use gpar::graph::NodeId;
-use gpar::serve::{RuleCatalog, ServeConfig, ServeEngine, Ts};
+use gpar::serve::{Counter, RuleCatalog, ServeConfig, ServeEngine, Ts};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -124,13 +124,17 @@ proptest! {
                     .expect("every burst member is acknowledged")
                     .expect("coalesced batches revalidate cleanly");
             }
-            let stats = burst.stats();
+            // Each published generation bumps the epoch once, so the
+            // publish count is the epoch (the predicate may no longer be
+            // servable, so no answer need carry it).
+            let epoch = |engine: &ServeEngine| engine.metrics().counter(Counter::SnapshotPublishes);
+            let (burst_epoch, seq_epoch) = (epoch(&burst), epoch(&seq));
             prop_assert!(
-                stats.epoch <= seq.stats().epoch,
+                burst_epoch <= seq_epoch,
                 "coalescing may only merge generations, not mint extras \
                  (burst epoch {} vs sequential {})",
-                stats.epoch,
-                seq.stats().epoch
+                burst_epoch,
+                seq_epoch
             );
             prop_assert_eq!(
                 &surface(&burst, pred, &overlay_subset),
